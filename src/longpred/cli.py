@@ -477,11 +477,18 @@ def _merge_config(args):
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise UsageError("--config must hold a JSON object")
+    flags = set(vars(args)) - {"fn", "defaults", "config", "command"}
+    unknown = sorted(set(file_cfg) - flags)
+    if unknown:
+        raise UsageError(f"unknown --config key(s) for {args.command}: "
+                         f"{', '.join(unknown)}")
     merged = {}
     defaults = dict(getattr(args, "defaults", {}))
     defaults.setdefault("seed", 0)
     for key, value in vars(args).items():
-        if key in ("fn", "defaults", "config", "command"):
+        if key not in flags:
             continue
         if value is None:
             value = file_cfg.get(key, defaults.get(key))
@@ -506,13 +513,14 @@ def main(argv=None):
     try:
         config = _merge_config(args)
         return args.fn(args, config)
-    except (UsageError, DomainError, StatisticalPowerError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # NotPositiveDefiniteError is a ValueError, so numeric failures go first
     except (AccuracyError, EstimationError, InternalConsistencyError,
             NotPositiveDefiniteError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
+    except (UsageError, DomainError, StatisticalPowerError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
-from scipy.special import gammaln
+from scipy.signal import lfilter
+from scipy.special import gammaln, zeta
 
 from .errors import AccuracyError, DomainError
 
@@ -33,6 +33,24 @@ D_MIN = 1e-4
 D_MAX = 0.5 - 1e-4
 
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+# finite forms whose terms far exceed their result are summed in the widest
+# float the platform has (80-bit extended on x86; plain double elsewhere)
+_WIDE = np.longdouble
+_WIDE_EPS = float(np.finfo(_WIDE).eps)
+# the ARMA part of a FARIMA autocovariance is cut where R^(H - q) <= 2^-60,
+# R the largest inverse AR root modulus; H above _H_MAX is refused
+_ARMA_TAIL = 2.0 ** -60
+_H_MAX = 1 << 13
+_AUTOCOV_RTOL = 1e-8  # per lag, certified by exact_autocov for FARIMA
+
+
+def _roundoff(n, eps=_EPS):
+    """Relative round-off bound 8 sqrt(n) u (u = eps/2) after n roundings:
+    the probabilistic bound of Higham and Mary (SIAM J. Sci. Comput. 41,
+    2019), failing with probability below 2n exp(-32), where the worst-case
+    n u rejects sums of thousands of terms that are accurate to 1e-12."""
+    return 4.0 * eps * np.sqrt(n)
 
 
 def _log_abs_gamma_neg(d):
@@ -153,178 +171,138 @@ def _clamp_subnormal(values):
 
 
 def _fi_ar_values(d, n):
-    # a_0 = 1, a_{j+1} = a_j (j - d)/(j + 1); a_1 = -d, all later ratios > 0
-    a = np.empty(n + 1)
+    # a_0 = 1, a_{j+1} = a_j (j - d)/(j + 1); a_1 = -d, all later ratios > 0;
+    # computed in the precision of d
+    a = np.empty(n + 1, np.result_type(d, 1.0))
     a[0] = 1.0
     if n:
-        j = np.arange(n, dtype=float)
+        j = np.arange(n, dtype=a.dtype)
         a[1:] = np.cumprod((j - d) / (j + 1.0))
     return a
 
 
-def _fi_ma_values(d, n):
-    # b_0 = 1, b_{j+1} = b_j (j + d)/(j + 1); b_1 = d
-    b = np.empty(n + 1)
-    b[0] = 1.0
-    if n:
-        j = np.arange(n, dtype=float)
-        b[1:] = np.cumprod((j + d) / (j + 1.0))
-    return b
-
-
-def series_inverse(coeffs, n):
-    """First n+1 coefficients of 1/C(z) for a power series with C(0) = 1.
-
-    Newton iteration with FFT products, O(n log n).
-    """
-    c = np.zeros(n + 1)
-    src = np.asarray(coeffs, dtype=float)
-    c[: min(src.size, n + 1)] = src[: n + 1]
-    if c[0] != 1.0:
-        raise ValueError("series_inverse requires a leading coefficient of 1")
-    inv = np.array([1.0])
-    m = 1
-    while m < n + 1:
-        m = min(2 * m, n + 1)
-        resid = fftconvolve(c[:m], inv)[:m]
-        resid = -resid
-        resid[0] += 2.0
-        inv = fftconvolve(inv, resid)[:m]
-    inv[0] = 1.0  # exact by construction; FFT round-trip leaves 1 +- eps
-    return inv
+def _arma_polys(model):
+    """phi(z) and theta(z) as ascending coefficient arrays."""
+    return (np.r_[1.0, -np.asarray(model.ar_poly)],
+            np.r_[1.0, np.asarray(model.ma_poly)])
 
 
 def ar_inf_coeffs(model, n):
-    """AR-infinity coefficients a_0..a_n of the model.
-
-    FI values come from the exact ratio recursion; FARIMA values convolve
-    the fractional expansion with phi(z) and the power-series inverse of
-    theta(z).
-    """
+    """AR-infinity coefficients a_0..a_n of the model: the FI ratio
+    recursion, for FARIMA filtered through phi(z)/theta(z)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    fi = _fi_ar_values(model.d, n)
-    if model.is_pure_fractional:
-        values = fi
-    else:
-        values = np.convolve(fi, np.r_[1.0, -np.asarray(model.ar_poly)])[: n + 1]
-        if model.ma_poly:
-            theta_inv = series_inverse(np.r_[1.0, np.asarray(model.ma_poly)], n)
-            values = fftconvolve(values, theta_inv)[: n + 1]
-        values[0] = 1.0
+    values = _fi_ar_values(model.d, n)
+    if not model.is_pure_fractional:
+        phi, theta = _arma_polys(model)
+        values = lfilter(phi, theta, values)
     values, clamped = _clamp_subnormal(values)
     return CoeffSeq(convention="ar_inf", values=values, model=model, clamped=clamped)
 
 
 def ma_inf_coeffs(model, n):
-    """MA-infinity coefficients b_0..b_n; the inverse series of the a_j."""
+    """MA-infinity coefficients b_0..b_n, the inverse series of the a_j: the
+    FI coefficients of -d, for FARIMA filtered through theta(z)/phi(z)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if model.is_pure_fractional:
-        values = _fi_ma_values(model.d, n)
-    else:
-        values = series_inverse(ar_inf_coeffs(model, n).values, n)
+    values = _fi_ar_values(-model.d, n)
+    if not model.is_pure_fractional:
+        phi, theta = _arma_polys(model)
+        values = lfilter(theta, phi, values)
     values, clamped = _clamp_subnormal(values)
     return CoeffSeq(convention="ma_inf", values=values, model=model, clamped=clamped)
 
 
-def _fi_autocov_values(d, m, sigma2):
-    # sigma(0) = sigma2 Gamma(1-2d)/Gamma(1-d)^2,
-    # sigma(j+1) = sigma(j) (j + d)/(j + 1 - d): positive, decreasing
-    s = np.empty(m + 1)
-    s[0] = sigma2 * math.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
+def _fi_acf(d, m):
+    # rho(0) = 1, rho(j+1) = rho(j) (j + d)/(j + 1 - d): positive, decreasing;
+    # computed in the precision of d
+    r = np.empty(m + 1, np.result_type(d, 1.0))
+    r[0] = 1.0
     if m:
-        j = np.arange(m, dtype=float)
-        s[1:] = s[0] * np.cumprod((j + d) / (j + 1.0 - d))
-    return s
+        j = np.arange(m, dtype=r.dtype)
+        r[1:] = np.cumprod((j + d) / (j + 1.0 - d))
+    return r
 
 
-def _powerlaw_product_tails(c0, c1, d, start, lags):
-    """For each lag k, integral_{start}^inf w(x) w(x+k) dx with
-    w(x) = x^(d-1) (c0 + c1/x).
-
-    Double substitution x = start/t, t = s^(1/(1-2d)) removes the power-law
-    decay so a fixed Gauss-Legendre rule converges fast.
-    """
-    gamma = 1.0 / (1.0 - 2.0 * d)
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    s = 0.5 * (nodes + 1.0)
-    ds = 0.5 * weights
-    t = s ** gamma
-    x = start / t  # shape (64,)
-    jac = (start / t ** 2) * gamma * s ** (gamma - 1.0)
-    w_x = x ** (d - 1.0) * (c0 + c1 / x)
-    lags = np.asarray(lags, dtype=float)[:, None]
-    xk = x[None, :] + lags
-    w_xk = xk ** (d - 1.0) * (c0 + c1 / xk)
-    return np.sum(w_x[None, :] * w_xk * (jac * ds)[None, :], axis=1)
+def _fi_delta(d):
+    """delta = sigma(0)/sigma2 - 1 = Gamma(1-2d)/Gamma(1-d)^2 - 1 of FI(d)
+    and a bound on its error.  The log-gamma difference loses delta ~ 1.6 d^2
+    as d -> 0; up to d = 1/4 its series sum_{n>=2} zeta(n) (2^n - 2) d^n / n
+    keeps full precision."""
+    if d <= 0.25:
+        n = np.arange(2, 64)
+        delta = math.expm1(math.fsum(zeta(n) * (2.0 ** n - 2.0) * d ** n / n))
+        return delta, _roundoff(8) * delta
+    g1, g2 = gammaln(1.0 - 2.0 * d), gammaln(1.0 - d)
+    delta = math.expm1(g1 - 2.0 * g2)
+    return delta, _roundoff(8) * ((1.0 + delta) * (abs(g1) + 2.0 * abs(g2))
+                                  + delta)
 
 
-def _fit_powerlaw(values, j_lo, j_hi, exponent):
-    """Least-squares fit values[j] ~ j^exponent (c0 + c1/j) on j_lo..j_hi."""
-    j = np.arange(j_lo, j_hi + 1, dtype=float)
-    y = values[j_lo : j_hi + 1] * j ** (-exponent)
-    design = np.column_stack([np.ones_like(j), 1.0 / j])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coef[0], coef[1]
-
-
-def _farima_autocov_values(model, m, rtol=1e-8):
-    """sigma(0..m) for a FARIMA model by MA convolution with an analytic
-    power-law tail, adapted until the tail's own error estimate is below
-    rtol relative to each value."""
-    d = model.d
-    sigma2 = model.sigma2_eps
-    J = max(1 << 14, 1 << int(math.ceil(math.log2(16 * (m + 2)))))
-    j_max = 1 << 22
-    last_bound = math.inf
-    while True:
-        b = ma_inf_coeffs(model, J).values
-        j0 = J - m  # common upper summation index so every lag shares it
-        lags = np.arange(m + 1)
-        # partial_k = sum_{j=0}^{j0} b_j b_{j+k} for all lags at once
-        partial = fftconvolve(b, b[j0::-1])[j0 : j0 + m + 1]
-
-        # two-parameter power-law fit of b on the top octave, validated by
-        # predicting the octave below from the one below that
-        c0, c1 = _fit_powerlaw(b, j0 // 2, j0, d - 1.0)
-        c0v, c1v = _fit_powerlaw(b, j0 // 4, j0 // 2 - 1, d - 1.0)
-        jv = np.arange(j0 // 2, j0 + 1, dtype=float)
-        pred = jv ** (d - 1.0) * (c0v + c1v / jv)
-        actual = b[j0 // 2 : j0 + 1]
-        scale = np.max(np.abs(actual))
-        r_val = np.max(np.abs(pred - actual)) / scale if scale > 0 else 0.0
-
-        tails = _powerlaw_product_tails(c0, c1, d, j0 + 0.5, lags)
-        values = sigma2 * (partial + tails)
-        float_err = 64.0 * np.finfo(float).eps * float(
-            np.sum(np.abs(b)) * np.max(np.abs(b))
-        )
-        bound = sigma2 * (np.abs(tails) * (4.0 * r_val + 8.0 / j0 ** 2) + float_err)
-        rel = np.max(bound / np.maximum(np.abs(values), _TINY))
-        if rel <= rtol:
-            return values
-        last_bound = min(last_bound, rel)
-        if J >= j_max:
+def _farima_autocov(model, m):
+    """sigma(0..m) of a FARIMA model in wide precision and a relative error
+    bound per lag, by ARMA x FI splitting (Bertelli and Caporin 2002, J.
+    Time Ser. Anal.): sigma(h) = sigma2 (1 + delta) sum_{|j|<=H} g(j)
+    rho_FI(h - j), g the autocovariance of the impulse response psi of
+    theta(B)/phi(B).  The bound adds round-off, the error of delta and the
+    mass of psi beyond H."""
+    phi, theta = _arma_polys(model)
+    p, q = phi.size - 1, theta.size - 1
+    H = q
+    if p:
+        R = 1.0 / np.min(np.abs(npoly.polyroots(phi)))
+        H += math.ceil(math.log(_ARMA_TAIL) / math.log(R))
+        if H > _H_MAX:
             raise AccuracyError(
-                f"FARIMA autocovariance tail could not reach rtol={rtol:g}",
-                achieved=last_bound,
-            )
-        J *= 2
+                f"AR root of modulus {1.0 / R:.9g} needs an ARMA cutoff "
+                f"H = {H} > {_H_MAX}", achieved=float(R ** (_H_MAX - q)))
+    impulse = np.zeros(2 * H + 1, _WIDE)
+    impulse[0] = 1.0
+    psi = lfilter(theta.astype(_WIDE), phi.astype(_WIDE), impulse)
+    psi_abs = np.abs(psi).astype(float)
+    g = np.correlate(psi, psi, "full")[2 * H : 3 * H + 1]  # lags 0..H
+    g_abs = np.correlate(psi_abs, psi_abs, "full")[2 * H : 3 * H + 1]
+    delta, delta_err = _fi_delta(model.d)
+    r = _fi_acf(_WIDE(model.d), m + H)
+    r_ext = np.r_[r[H:0:-1], r]  # lags -H..m+H
+    corr = np.convolve(r_ext, np.r_[g[:0:-1], g], "valid")
+    values = model.sigma2_eps * (1 + _WIDE(delta)) * corr
+    mag = np.convolve(r_ext.astype(float), np.r_[g_abs[:0:-1], g_abs], "valid")
+    # psi beyond 2H is below 2^-60 of psi beyond H: twice the mass on
+    # H < i <= 2H bounds the whole tail
+    tail = 2.0 * np.sum(psi_abs[H + 1 :])
+    roundings = 4 * (m + H) + (4 * (p + q) + 10) * (2 * H + 1)
+    bound = (_roundoff(roundings, _WIDE_EPS) * mag
+             + 3.0 * np.sum(psi_abs) * tail)
+    return values, (bound / np.maximum(np.abs(corr).astype(float), _TINY)
+                    + delta_err / (1.0 + delta))
 
 
-def exact_autocov(model, m, rtol=1e-8):
+def exact_autocov(model, m):
     """Exact autocovariances sigma(0..m) of the model.
 
-    FI uses the closed-form ratio recursion; FARIMA sums the MA convolution
-    sigma(k) = sigma2 * sum_j b_j b_{j+k} with an adaptive analytic tail.
+    FI uses the closed-form ratio recursion.  FARIMA convolves the FI
+    autocovariances over lags -H..m+H with the autocovariances of the ARMA
+    impulse response, cut at H where the largest inverse AR root modulus R
+    gives R^(H - q) <= 2^-60.  Each FARIMA lag is certified to 1e-8
+    relative; a larger bound, or an AR root so close to the unit circle
+    that H > 8192, raises AccuracyError.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if model.is_pure_fractional:
-        values = _fi_autocov_values(model.d, m, model.sigma2_eps)
+        # sigma(0) = sigma2 Gamma(1-2d)/Gamma(1-d)^2
+        d = model.d
+        values = (model.sigma2_eps
+                  * math.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
+                  * _fi_acf(d, m))
     else:
-        values = _farima_autocov_values(model, m, rtol=rtol)
+        values, rel = _farima_autocov(model, m)
+        achieved = float(np.max(rel)) + _EPS
+        if achieved > _AUTOCOV_RTOL:
+            raise AccuracyError(
+                f"FARIMA autocovariances not certified to "
+                f"rtol={_AUTOCOV_RTOL:g}", achieved=achieved)
     return AutocovSeq(values=values, source="exact", model=model)
 
 

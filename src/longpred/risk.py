@@ -23,20 +23,25 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.signal import fftconvolve
+from scipy.signal import lfilter
 from scipy.special import gammaln
 
-from .errors import (DomainError, InternalConsistencyError,
+from .errors import (AccuracyError, DomainError, InternalConsistencyError,
                      StatisticalPowerError)
-from .fraccoeff import (LongMemoryModel, _fi_ar_values, _fi_autocov_values,
-                        _log_abs_gamma_neg, ar_inf_coeffs, exact_autocov,
+from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
+                        _arma_polys, _farima_autocov, _fi_acf, _fi_ar_values,
+                        _fi_delta, _log_abs_gamma_neg, _roundoff,
+                        ar_inf_coeffs, exact_autocov,
                         integrate_symmetric_singular, spectral_density)
 from .rng import replicate_map
 from .simulate import gaussian_paths
 from .spectral import whittle_fit
-from .tails import powerlaw_tail_sum
 from .toeplitz import (durbin_levinson, empirical_autocov,
-                       fi_ark_closed_form, toeplitz_solve)
+                       fi_ark_closed_form, innovation_variance_quadratic_form,
+                       toeplitz_solve)
+
+# relative accuracy certified by truncation_excess
+_TRUNC_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,52 +71,63 @@ class SlopeReport:
 # analytic quantities
 
 
-def _trunc_tail_values(model, k):
-    """Return a callable producing f(j) = -a_j sum_{l<=k} a_l sigma(j-l)
-    for j = k+1..J; the series whose sum is the truncation excess."""
-
-    def values(J):
-        if model.is_pure_fractional:
-            a = _fi_ar_values(model.d, J)
-            sig = _fi_autocov_values(model.d, J, model.sigma2_eps)
-        else:
-            a = ar_inf_coeffs(model, J).values
-            sig = exact_autocov(model, J).values
-        inner = fftconvolve(a[: k + 1], sig)[k + 1 : J + 1]
-        return -a[k + 1 : J + 1] * inner
-
-    return values
-
-
-def truncation_excess(model, k, rtol=1e-9):
+def truncation_excess(model, k):
     """E[(X_{k+1} - truncated WK forecast)^2] - sigma_eps^2.
 
-    Uses the orthogonality identity sum_{l>=0} a_l sigma(l-j) = 0 (j > 0)
-    to reduce the double tail sum to a single series over j > k, evaluated
-    with an adaptive cutoff plus analytic power-law tail.
+    The residual variance of the length-(k+1) truncated AR filter a_0..a_k
+    is the finite quadratic form sum_{j,l<=k} a_j a_l sigma(j-l).  Written
+    with w_h = sum_j a_j a_{j+h}, rho_h = sigma(h)/sigma(0) and
+    delta = sigma(0)/sigma2 - 1, its excess over sigma2 is
+    sigma2 (b + delta (1 + b)) with b = sum_{j>=1} a_j^2 + 2 sum_{h>=1}
+    w_h rho_h, so no terms of the size of sigma(0) cancel.  The terms of b
+    still exceed the result about k-fold, so they are summed in wide
+    precision.  A round-off bound that follows every input from its
+    recursion must stay below 1e-9 relative, or AccuracyError is raised.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
-    result = powerlaw_tail_sum(
-        _trunc_tail_values(model, k),
-        exponent=model.d - 2.0,
-        j_start=k + 1,
-        rtol=rtol,
-        j0=max(1 << 14, 8 * (k + 1)),
-    )
-    return result.value
+    a = _fi_ar_values(_WIDE(model.d), k)
+    h = np.arange(1, k + 1)
+    if model.is_pure_fractional:
+        rho = _fi_acf(_WIDE(model.d), k)[1:]
+        rho_err = _roundoff(4 * h, _WIDE_EPS)
+        delta, delta_err = _fi_delta(model.d)
+        steps = 3  # roundings per step of the coefficient recursion
+    else:
+        phi, theta = _arma_polys(model)
+        a = lfilter(phi.astype(_WIDE), theta.astype(_WIDE), a)
+        s, rel = _farima_autocov(model, k)
+        rho = s[1:] / s[0]
+        rho_err = rel[1:] + rel[0] + _WIDE_EPS
+        delta = s[0] / model.sigma2_eps - 1
+        delta_err = float(1 + delta) * (rel[0] + _WIDE_EPS)
+        steps = 3 + 2 * (phi.size + theta.size - 1)
+    a = a[1:]
+    # tail[h] = sum_{j>=1} a_j a_{j+h}; w_h adds a_0 a_h = a_h to it
+    tail = np.correlate(a, a, "full")[k - 1 :]
+    w = a.copy()
+    w[:-1] += tail[1:]
+    b = np.sum(np.r_[tail[0], 2 * w * rho])
+    value = b + delta * (1 + b)
 
-
-def truncation_excess_quadratic_form(model, k):
-    """Finite-sum identity for the same quantity:
-    sum_{j,l=0}^{k} a_j a_l sigma(j-l) - sigma_eps^2 (the residual variance
-    of the length-(k+1) truncated AR filter).  Kept as an independent
-    cross-check of the tail route."""
-    a = ar_inf_coeffs(model, k).values
-    sig = exact_autocov(model, k).values
-    w = fftconvolve(a, a[::-1])[k:]
-    return float(w[0] * sig[0] + 2.0 * np.dot(w[1:], sig[1:])
-                 - model.sigma2_eps)
+    # round-off bound: a term of b carries the roundings on its own path,
+    # a_h from the recursion plus the final sum, a tail product both
+    # factors' recursions plus two sums of k terms
+    a_abs, r_abs = np.abs(a).astype(float), np.abs(rho).astype(float)
+    tail_abs = np.correlate(a_abs, a_abs, "full")[k - 1 :]
+    tail_w = np.r_[tail_abs[1:], 0.0]
+    long_sum = _roundoff((2 * steps + 2) * k + 3, _WIDE_EPS)
+    w_err = _roundoff(steps * h + k + 3, _WIDE_EPS) * a_abs + long_sum * tail_w
+    b_err = (long_sum * tail_abs[0]
+             + 2.0 * np.dot(w_err + rho_err * (a_abs + tail_w), r_abs))
+    value, delta, b = float(value), float(delta), float(b)
+    err = (b_err * (1.0 + abs(delta)) + delta_err * abs(1.0 + b)
+           + _EPS * (abs(delta * (1.0 + b)) + abs(value)))
+    if err > _TRUNC_RTOL * abs(value):
+        raise AccuracyError(
+            f"truncation excess not certified to rtol={_TRUNC_RTOL:g}",
+            achieved=err / abs(value))
+    return model.sigma2_eps * value
 
 
 def ark_excess(model, k, _check_rtol=1e-8):
@@ -121,13 +137,8 @@ def ark_excess(model, k, _check_rtol=1e-8):
         raise ValueError("order k must be >= 1")
     acov = exact_autocov(model, k)
     model_k = durbin_levinson(acov, k)
-    sig = acov.values
-    quad_v = float(
-        sig[0]
-        - 2.0 * np.dot(model_k.phi, sig[1 : k + 1])
-        + model_k.phi @ acov.toeplitz(k) @ model_k.phi
-    )
-    if abs(quad_v - model_k.v) > _check_rtol * sig[0]:
+    quad_v = innovation_variance_quadratic_form(acov, model_k)
+    if abs(quad_v - model_k.v) > _check_rtol * acov.values[0]:
         raise InternalConsistencyError(
             f"v(k) recursion {model_k.v!r} disagrees with quadratic form "
             f"{quad_v!r}"
@@ -187,7 +198,7 @@ def excess_decomposition(d, k, sigma2_eps=1.0):
     return {"term1": term1, "term2": term2, "term3": term3}
 
 
-def r_of_k(d, k, rtol=1e-8):
+def r_of_k(d, k):
     """Relative improvement of AR(k) fitting over truncation for fractional
     noise, in [0, 1).
 
@@ -198,7 +209,7 @@ def r_of_k(d, k, rtol=1e-8):
     dec = excess_decomposition(d, k)
     r_closed = dec["term1"] / dec["term3"]
     model = LongMemoryModel.fi(d)
-    trunc = truncation_excess(model, k, rtol=rtol)
+    trunc = truncation_excess(model, k)
     ark = ark_excess(model, k)
     r_direct = (trunc - ark) / trunc
     if abs(r_closed - r_direct) > 1e-6 * max(abs(r_direct), 1e-12):

@@ -223,6 +223,24 @@ def test_config_file_with_flag_override(tmp_path):
     np.testing.assert_allclose(rows[-1]["d"], 0.2)
 
 
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_min": 0.1, "bogus_key": 1}))
+    out = tmp_path / "out.csv"
+    assert run(["cd-curve", "--config", cfg, "--out", out]) == 2
+    assert "bogus_key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_degenerate_training_sample_exits_1(tmp_path, capsys):
+    train, window = tmp_path / "t.csv", tmp_path / "w.csv"
+    train.write_text("value\n" + "0.0\n" * 10)
+    window.write_text("value\n" + "0.0\n" * 3)
+    assert run(["predict", "--method", "ark-plugin", "--k", 2,
+                "--train", train, "--window", window]) == 1
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_artifact_roundtrip_parser(tmp_path):
     out = tmp_path / "r.csv"
     assert run(["ratio-curve", "--d", "0.2,0.3", "--k", "10,20",

@@ -1,17 +1,17 @@
 import json
+import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.special import gamma as Gamma
 
 import longpred as lp
-from longpred.errors import DomainError
-from longpred.fraccoeff import (_clamp_subnormal, _farima_autocov_values,
+from longpred.errors import AccuracyError, DomainError
+from longpred.fraccoeff import (_clamp_subnormal,
                                 integrate_symmetric_singular, model_from_json,
                                 model_to_json, read_indexed_csv,
-                                series_inverse, write_indexed_csv)
+                                write_indexed_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +144,6 @@ def test_decay_bound_with_small_delta():
     assert np.all(b <= 1.0 * j ** (d - 1 + delta))
 
 
-def test_series_inverse_requires_unit_leading_term():
-    with pytest.raises(ValueError):
-        series_inverse([2.0, 1.0], 4)
-
-
 def test_subnormal_values_clamp_with_flag():
     tiny = np.finfo(float).tiny
     vals, clamped = _clamp_subnormal(np.array([1.0, tiny / 4, -tiny / 8, 0.0]))
@@ -169,15 +164,6 @@ def test_coeffseq_validation():
     with pytest.raises(DomainError):
         lp.CoeffSeq(convention="sideways", values=np.array([1.0]),
                     model=model)
-
-
-@given(st.lists(st.floats(-0.4, 0.4), min_size=0, max_size=4))
-def test_series_inverse_roundtrip(tail):
-    c = np.r_[1.0, np.asarray(tail)]
-    inv = series_inverse(c, 32)
-    conv = np.convolve(c, inv)[:33]
-    assert conv[0] == 1.0
-    assert np.max(np.abs(conv[1:])) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +192,52 @@ def test_autocov_bounded_by_lag_zero():
         assert np.all(np.abs(sig[1:]) <= sig[0])
 
 
-def test_farima_machinery_matches_fi_closed_form():
-    vals = _farima_autocov_values(lp.LongMemoryModel.farima(0.3), 50)
-    ref = lp.exact_autocov(lp.LongMemoryModel.fi(0.3), 50).values
-    np.testing.assert_allclose(vals, ref, rtol=1e-8)
-
-
 def test_farima_empty_polynomials_equal_fi():
     vals = lp.exact_autocov(lp.LongMemoryModel.farima(0.3), 40).values
     ref = lp.exact_autocov(lp.LongMemoryModel.fi(0.3), 40).values
     np.testing.assert_allclose(vals, ref, rtol=1e-8)
+
+
+def farima11_autocov_oracle(d, phi, theta, m):
+    """sigma(0..m) of FARIMA(1, d, 1), unit innovation variance: the
+    closed-form ARMA(1, 1) autocovariances g(0) = (1 + 2 phi theta +
+    theta^2)/(1 - phi^2), g(j) = (1 + phi theta)(phi + theta) phi^(j-1)
+    /(1 - phi^2), cut where |phi|^H < 1e-20, convolved with the FI(d)
+    autocovariances Gamma(1-2d)/Gamma(1-d)^2 prod_{i<h} (i + d)/(i + 1 - d)
+    (log-gamma differences lose 1e-11 at h ~ 16000)."""
+    H = 1 if phi == 0.0 else 1 + math.ceil(math.log(1e-20) / math.log(abs(phi)))
+    j = np.arange(1, H + 1)
+    g = np.r_[1.0 + 2.0 * phi * theta + theta ** 2,
+              (1.0 + phi * theta) * (phi + theta) * phi ** (j - 1.0)]
+    g /= 1.0 - phi ** 2
+    i = np.arange(m + H, dtype=float)
+    s = Gamma(1 - 2 * d) / Gamma(1 - d) ** 2 * np.r_[
+        1.0, np.cumprod((i + d) / (i + 1 - d))]
+    return np.convolve(np.r_[s[H:0:-1], s], np.r_[g[:0:-1], g], "valid")
+
+
+@pytest.mark.parametrize("d,ar,ma,m", [
+    (0.05, (), (-0.9,), 1023),
+    (0.1, (-0.9,), (), 16384),
+    (0.3, (0.5,), (0.3,), 2000),
+])
+def test_farima_autocov_matches_arma11_splitting_oracle(d, ar, ma, m):
+    # the first two models defeated the adaptive power-law tail, whose
+    # fixed float floor could not certify lags of order 1e-7
+    model = lp.LongMemoryModel.farima(d, ar=ar, ma=ma)
+    got = lp.exact_autocov(model, m).values
+    ref = farima11_autocov_oracle(d, ar[0] if ar else 0.0,
+                                  ma[0] if ma else 0.0, m)
+    np.testing.assert_allclose(got, ref, rtol=1e-8)
+
+
+def test_ar_root_near_unit_circle_raises_at_once():
+    model = lp.LongMemoryModel.farima(0.2, ar=(0.999999,))
+    start = time.perf_counter()
+    with pytest.raises(AccuracyError) as info:
+        lp.exact_autocov(model, 100)
+    assert time.perf_counter() - start < 5.0
+    assert info.value.achieved > 1e-8
 
 
 @pytest.mark.parametrize("d", [0.1, 0.3, 0.45])

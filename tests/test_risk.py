@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 from scipy.special import gamma as Gamma
 from scipy.special import gammaln
 
 import longpred as lp
 from longpred.errors import DomainError, StatisticalPowerError
 from longpred.risk import (excess_decomposition, h_sandwich,
-                           truncation_excess_quadratic_form,
                            wk_plugin_order_scaling)
+from longpred.tails import powerlaw_tail_sum
 
 
 def c_oracle(d):
@@ -33,18 +36,65 @@ def ark_excess_oracle(d, k, sigma2=1.0):
     lp.LongMemoryModel.farima(0.25, ar=(0.5,), ma=(0.3,)),
 ])
 def test_truncation_excess_positive(model):
-    rtol = 1e-9 if model.is_pure_fractional else 1e-7
-    assert lp.truncation_excess(model, 10, rtol=rtol) > 0.0
+    assert lp.truncation_excess(model, 10) > 0.0
+
+
+def plain_excess(a, sig):
+    """The residual variance of the truncated filter a_0..a_k minus the unit
+    innovation variance, sum_{j,l<=k} a_j a_l sigma(j-l) - 1, as it stands."""
+    k = a.size - 1
+    w = np.convolve(a, a[::-1])[k:]
+    return math.fsum(np.r_[w[0] * sig[0], 2.0 * w[1:] * sig[1:], -1.0])
 
 
 @pytest.mark.parametrize("d,k", [(0.1, 100), (0.3, 50), (0.45, 200)])
 def test_truncation_excess_matches_finite_identity(d, k):
-    # independent oracle: the residual variance of the truncated filter,
-    # a fully finite quadratic form
-    model = lp.LongMemoryModel.fi(d)
-    tail_route = lp.truncation_excess(model, k)
-    finite = truncation_excess_quadratic_form(model, k)
-    np.testing.assert_allclose(tail_route, finite, rtol=1e-8)
+    # a and sigma from the gamma closed forms
+    j = np.arange(k + 1)
+    a = np.exp(gammaln(j - d) - gammaln(j + 1) - gammaln(-d)) * np.where(
+        j > 0, -1.0, 1.0)
+    sig = np.exp(gammaln(1 - 2 * d) + gammaln(j + d) - gammaln(d)
+                 - gammaln(1 - d) - gammaln(j + 1 - d))
+    np.testing.assert_allclose(lp.truncation_excess(lp.LongMemoryModel.fi(d), k),
+                               plain_excess(a, sig), rtol=1e-8)
+
+
+def tail_route_excess(model, k):
+    """The truncation excess as the single series sum_{j>k} f(j),
+    f(j) = -a_j sum_{l<=k} a_l sigma(j-l), which the orthogonality
+    sum_{l>=0} a_l sigma(l-j) = 0 (j > 0) leaves of the double tail sum;
+    summed by the adaptive power-law tail driver."""
+
+    def values(J):
+        a = lp.ar_inf_coeffs(model, J).values
+        sig = lp.exact_autocov(model, J).values
+        inner = fftconvolve(a[: k + 1], sig)[k + 1 : J + 1]
+        return -a[k + 1 : J + 1] * inner
+
+    return powerlaw_tail_sum(values, exponent=model.d - 2.0, j_start=k + 1,
+                             rtol=1e-9, j0=max(1 << 14, 8 * (k + 1))).value
+
+
+@pytest.mark.parametrize("model,k", [
+    (lp.LongMemoryModel.fi(d), k)
+    for d in (0.01, 0.1, 0.45, 0.49) for k in (10, 100, 1600)
+] + [(lp.LongMemoryModel.farima(0.3, ar=(0.5,), ma=(0.3,)), 50)])
+def test_truncation_excess_matches_tail_oracle(model, k):
+    np.testing.assert_allclose(lp.truncation_excess(model, k),
+                               tail_route_excess(model, k), rtol=1e-9)
+
+
+def test_truncation_excess_farima_negative_ar_root():
+    # a model whose autocovariances the adaptive power-law tail could not
+    # certify; the finite form with the closed-form FARIMA(1, d, 0)
+    # coefficients a_j = fi_j - phi fi_{j-1} is the reference
+    d, phi, k = 0.1, -0.9, 10
+    model = lp.LongMemoryModel.farima(d, ar=(phi,))
+    fi = lp.ar_inf_coeffs(lp.LongMemoryModel.fi(d), k).values
+    a = fi - phi * np.r_[0.0, fi[:-1]]
+    sig = lp.exact_autocov(model, k).values
+    np.testing.assert_allclose(lp.truncation_excess(model, k),
+                               plain_excess(a, sig), rtol=1e-8)
 
 
 def test_truncation_excess_grows_with_memory():
