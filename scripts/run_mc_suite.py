@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The full Monte Carlo suite at deskside settings (a few minutes).
+"""The full Monte Carlo suite at deskside settings (about 40 s).
 
 Artifacts in out/:
 * estimation_error.csv - wk-plugin vs exact predictor MSE over T (slope -1)
@@ -9,9 +9,6 @@ Artifacts in out/:
 * covmoment_low.csv / covmoment_high.csv - lag-0 estimator MSE over n
 * whittle_mc.csv       - replicated Whittle fits at d=0.3
 * total_error.csv      - method excess vs estimation error on a (k, T) grid
-
-Set LONGPRED_THREADS to parallelise replicates; outputs are identical for
-any thread count.
 """
 
 import pathlib

@@ -25,7 +25,6 @@ from .fraccoeff import (LongMemoryModel, ar_inf_coeffs, exact_autocov,
                         model_from_json)
 from .predictor import (ark_plugin_predict, ark_predict, wk_plugin_predict,
                         wk_truncated_predict)
-from .rng import default_workers
 from .series import SamplePath
 from .simulate import gaussian_paths
 from .spectral import whittle_fit
@@ -46,8 +45,8 @@ def _fmt(x):
 
 
 def _config_hash(config):
-    # the output location and worker count do not define the experiment
-    stripped = {k: v for k, v in config.items() if k not in ("out", "workers")}
+    # the output location does not define the experiment
+    stripped = {k: v for k, v in config.items() if k != "out"}
     text = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -176,29 +175,19 @@ def _cmd_ratio_curve(args, config):
     return 0
 
 
-def _rate_rows(d_grid, k_grid, excess_fn):
+def _cmd_rate(args, config):
+    """trunc-rate and ark-rate: ``args.excess(model, k)`` over the k grid
+    and its log-log slope in k, for each d."""
+    d_grid = _parse_grid(args.d)
+    k_grid = _parse_int_grid(args.k_grid)
     rows = []
     for d in d_grid:
         model = LongMemoryModel.fi(d)
-        excesses = [excess_fn(model, k) for k in k_grid]
+        excesses = [args.excess(model, k) for k in k_grid]
         slope, _ = _loglog_slope(k_grid, np.asarray(excesses),
                                  np.zeros(len(k_grid)))
         for k, e in zip(k_grid, excesses):
             rows.append((d, k, e, 0.0, slope))
-    return rows
-
-
-def _cmd_trunc_rate(args, config):
-    rows = _rate_rows(_parse_grid(args.d), _parse_int_grid(args.k_grid),
-                      lambda m, k: truncation_excess(m, k))
-    write_artifact(args.out, ["d", "k", "estimate", "stderr", "fitted_slope"],
-                   rows, args.seed, config)
-    return 0
-
-
-def _cmd_ark_rate(args, config):
-    rows = _rate_rows(_parse_grid(args.d), _parse_int_grid(args.k_grid),
-                      lambda m, k: ark_excess(m, k))
     write_artifact(args.out, ["d", "k", "estimate", "stderr", "fitted_slope"],
                    rows, args.seed, config)
     return 0
@@ -213,7 +202,7 @@ def _slope_rows(report):
 
 def _cmd_estimation_error(args, config):
     report = wk_plugin_scaling(args.d, args.k, _parse_int_grid(args.t_grid),
-                               args.reps, args.seed, workers=args.workers)
+                               args.reps, args.seed)
     write_artifact(args.out, ["T", "estimate", "stderr", "fitted_slope"],
                    _slope_rows(report), args.seed, config)
     return 0
@@ -221,7 +210,7 @@ def _cmd_estimation_error(args, config):
 
 def _cmd_coeffcov_mc(args, config):
     report = coeffcov_scaling(args.d, args.k, _parse_int_grid(args.t_grid),
-                              args.reps, args.seed, workers=args.workers)
+                              args.reps, args.seed)
     write_artifact(args.out, ["T", "estimate", "stderr", "fitted_slope"],
                    _slope_rows(report), args.seed, config)
     return 0
@@ -229,7 +218,7 @@ def _cmd_coeffcov_mc(args, config):
 
 def _cmd_covmoment_mc(args, config):
     report = covmoment_scaling(args.d, _parse_int_grid(args.n_grid),
-                               args.reps, args.seed, workers=args.workers)
+                               args.reps, args.seed)
     write_artifact(args.out, ["n", "estimate", "stderr", "fitted_slope"],
                    _slope_rows(report), args.seed, config)
     return 0
@@ -317,10 +306,8 @@ def _cmd_total_error(args, config):
     for k in k_grid:
         trunc = truncation_excess(model, k)
         ark = ark_excess(model, k)
-        wk_est = wk_plugin_scaling(args.d, k, t_grid, args.reps, args.seed,
-                                   workers=args.workers)
-        ark_est = coeffcov_scaling(args.d, k, t_grid, args.reps, args.seed,
-                                   workers=args.workers)
+        wk_est = wk_plugin_scaling(args.d, k, t_grid, args.reps, args.seed)
+        ark_est = coeffcov_scaling(args.d, k, t_grid, args.reps, args.seed)
         for i, T in enumerate(t_grid):
             rows.append((
                 k, T,
@@ -373,7 +360,7 @@ def _build_parser():
     common(p)
     p.add_argument("--d", type=str, default=None)
     p.add_argument("--k-grid", type=str, default=None)
-    p.set_defaults(fn=_cmd_trunc_rate,
+    p.set_defaults(fn=_cmd_rate, excess=truncation_excess,
                    defaults={"d": "0.1,0.2,0.3,0.4",
                              "k_grid": "100,200,400,800,1600"})
 
@@ -381,13 +368,12 @@ def _build_parser():
     common(p)
     p.add_argument("--d", type=str, default=None)
     p.add_argument("--k-grid", type=str, default=None)
-    p.set_defaults(fn=_cmd_ark_rate,
+    p.set_defaults(fn=_cmd_rate, excess=ark_excess,
                    defaults={"d": "0.2,0.3", "k_grid": "100,200,400,800"})
 
     def mc_common(p):
         common(p)
         p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
 
     p = sub.add_parser("estimation-error",
                        help="wk-plugin vs exact predictor MSE scaling in T")
@@ -479,7 +465,8 @@ def _merge_config(args):
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise UsageError("--config must hold a JSON object")
-    flags = set(vars(args)) - {"fn", "defaults", "config", "command"}
+    flags = set(vars(args)) - {"fn", "excess", "defaults", "config",
+                               "command"}
     unknown = sorted(set(file_cfg) - flags)
     if unknown:
         raise UsageError(f"unknown --config key(s) for {args.command}: "
@@ -498,9 +485,6 @@ def _merge_config(args):
         raise UsageError("--out is required")
     if merged.get("reps") is not None and merged["reps"] < 1:
         raise UsageError("--reps must be >= 1")
-    if getattr(args, "workers", None) is None:
-        args.workers = default_workers()
-        merged["workers"] = args.workers
     return merged
 
 

@@ -373,22 +373,3 @@ def model_from_json(text):
         sigma2_eps=float(obj.get("sigma2", 1.0)),
     )
 
-
-def write_indexed_csv(values, path):
-    """Dump a coefficient or autocovariance array as ``index,value`` rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write("index,value\n")
-        for i, v in enumerate(np.asarray(values, dtype=float)):
-            fh.write(f"{i},{float(v)!r}\n")
-
-
-def read_indexed_csv(path):
-    values = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "index,value":
-            raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            _, v = line.strip().split(",")
-            values.append(float(v))
-    return np.asarray(values)

@@ -1,22 +1,17 @@
 """Deterministic, splittable random streams for Monte Carlo work.
 
 Every replicate derives its own counter-based generator from the 64-bit
-master seed plus a path of integer substream ids, so results never depend
-on execution order or thread count.  Normal variates are produced by
-inverse CDF on a strictly interior uniform grid, which keeps the variate
-count per replicate fixed.
+master seed plus a path of integer substream ids, so any replicate can be
+reproduced on its own.  Normal variates are produced by inverse CDF on a
+strictly interior uniform grid, which keeps the variate count per
+replicate fixed.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 _U53 = float(1 << 53)
-
-THREADS_ENV = "LONGPRED_THREADS"
 
 
 def derive_rng(seed, *ids):
@@ -30,22 +25,3 @@ def normals(rng, size):
     u = rng.integers(0, 1 << 53, size=size, dtype=np.uint64).astype(np.float64)
     return ndtri((u + 0.5) / _U53)
 
-
-def default_workers():
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def replicate_map(fn, reps, workers=None):
-    """[fn(0), ..., fn(reps-1)], optionally on a thread pool.
-
-    Order is preserved, and because each replicate seeds its own stream the
-    result is identical for any worker count.
-    """
-    workers = default_workers() if workers is None else max(1, int(workers))
-    if workers == 1:
-        return [fn(i) for i in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(reps)))

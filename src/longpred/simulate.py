@@ -3,7 +3,8 @@
 The primary sampler embeds the n x n Toeplitz covariance in a circulant of
 size 2(n-1) diagonalised by the FFT (O(n log n)); if the embedding has an
 eigenvalue below -tol it falls back to the Durbin-Levinson innovations
-method (O(n^2), exact for any positive-definite prefix).
+method (O(n^2) time and O(n) memory per path, exact for any
+positive-definite prefix).  ``method`` may force either sampler.
 """
 
 from dataclasses import dataclass
@@ -46,20 +47,27 @@ def circulant_eigenvalues(acov, n):
     return np.fft.fft(c).real
 
 
-def _choose_method(acov, n):
+def _choose_method(acov, n, method):
+    """The sampler ``method`` resolves to for (acov, n), plus the square
+    roots of the embedding eigenvalues when it is the circulant one."""
+    if method not in ("auto", "circulant", "innovations"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "innovations":
+        return "innovations", None
     if n < 2:
         return "circulant", None
     eig = circulant_eigenvalues(acov, n)
-    tol = EIG_TOL_FACTOR * eig.max()
-    if eig.min() < -tol:
+    if eig.min() < -EIG_TOL_FACTOR * eig.max():
+        if method == "circulant":
+            raise NotPositiveDefiniteError(
+                n, "circulant embedding has a negative eigenvalue"
+            )
         return "innovations", None
     return "circulant", np.sqrt(np.clip(eig, 0.0, None))
 
 
 def _circulant_paths(sqrt_eig, n, z):
     """Map a (reps, 2(n-1)) block of standard normals to exact paths."""
-    if n == 1:
-        return sqrt_eig[:1] * z[:, :1]  # sqrt_eig holds sqrt(sigma(0)) here
     m = 2 * (n - 1)
     reps = z.shape[0]
     w = np.zeros((reps, m), dtype=complex)
@@ -74,14 +82,16 @@ def _circulant_paths(sqrt_eig, n, z):
     return x[:, :n]
 
 
-def _innovation_weights(acov, n):
-    """All Durbin-Levinson coefficient vectors and innovation sds up to
-    order n-1, for the sequential innovations sampler."""
+def _innovations_paths(acov, n, z):
+    """Map a (reps, n) block of standard normals to exact paths, one time
+    step at a time: x_t is the order-t Durbin-Levinson forecast from
+    x_0..x_{t-1} plus the innovation sd times z_t.  The coefficients are
+    updated in place, so the memory beyond the paths is O(n)."""
     sig = acov.values
     if sig[0] <= 0.0:
         raise NotPositiveDefiniteError(0, "sigma(0) must be positive")
-    weights = [np.empty(0)]
-    sds = [np.sqrt(sig[0])]
+    x = np.empty((z.shape[0], n))
+    x[:, 0] = np.sqrt(sig[0]) * z[:, 0]
     phi = np.zeros(n - 1)
     v = sig[0]
     for t in range(1, n):
@@ -94,19 +104,8 @@ def _innovation_weights(acov, n):
         v *= 1.0 - refl * refl
         if v <= 0.0:
             raise NotPositiveDefiniteError(t)
-        weights.append(phi[:t].copy())
-        sds.append(np.sqrt(v))
-    return weights, np.asarray(sds)
-
-
-def _innovations_paths(acov, n, z):
-    weights, sds = _innovation_weights(acov, n)
-    reps = z.shape[0]
-    x = np.empty((reps, n))
-    x[:, 0] = sds[0] * z[:, 0]
-    for t in range(1, n):
-        pred = x[:, t - 1 :: -1][:, : t] @ weights[t]
-        x[:, t] = pred + sds[t] * z[:, t]
+        pred = x[:, t - 1 :: -1][:, : t] @ phi[:t]
+        x[:, t] = pred + np.sqrt(v) * z[:, t]
     return x
 
 
@@ -124,43 +123,26 @@ def gaussian_paths(acov, n, reps, seed, stream=(), method="auto"):
     """A list of ``reps`` independent exact paths.
 
     Replicate r draws from the stream (seed, *stream, r), so any subset of
-    replicates is reproducible in isolation and across thread counts.
+    replicates is reproducible in isolation.
     """
     if n < 1:
         raise ValueError("path length must be >= 1")
     if len(acov) < n:
         raise ValueError(f"need lags 0..{n - 1}, have 0..{len(acov) - 1}")
-    if method == "auto":
-        used, sqrt_eig = _choose_method(acov, n)
-    elif method == "circulant":
-        used = "circulant"
-        if n == 1:
-            sqrt_eig = None
-        else:
-            eig = circulant_eigenvalues(acov, n)
-            if eig.min() < -EIG_TOL_FACTOR * eig.max():
-                raise NotPositiveDefiniteError(
-                    n, "circulant embedding has a negative eigenvalue"
-                )
-            sqrt_eig = np.sqrt(np.clip(eig, 0.0, None))
-    elif method == "innovations":
-        used, sqrt_eig = "innovations", None
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    used, sqrt_eig = _choose_method(acov, n, method)
 
     nz = 2 * (n - 1) if (used == "circulant" and n > 1) else n
-    z = np.empty((reps, max(nz, 1)))
+    z = np.empty((reps, nz))
     for r in range(reps):
         rng = derive_rng(seed, *stream, r)
-        z[r] = normals(rng, max(nz, 1))
+        z[r] = normals(rng, nz)
 
-    if used == "circulant":
-        if n == 1:
-            x = np.sqrt(acov.values[0]) * z[:, :1]
-        else:
-            x = _circulant_paths(sqrt_eig, n, z)
-    else:
+    if used == "innovations":
         x = _innovations_paths(acov, n, z)
+    elif n == 1:
+        x = np.sqrt(acov.values[0]) * z
+    else:
+        x = _circulant_paths(sqrt_eig, n, z)
 
     return [
         SamplePath(values=x[r], seed=(int(seed), *stream, r), model=acov.model,

@@ -10,7 +10,6 @@ order-k coefficients are converted at this module's boundary via
 phi_j = -a_{j,k}.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,32 +174,3 @@ def innovation_variance_quadratic_form(acov, model_k):
         + phi @ acov.toeplitz(k) @ phi
     )
 
-
-def write_ark_csv(model_k, path):
-    """CSV ``j,phi_j`` plus a JSON sidecar {k, v, partials}."""
-    with open(path, "w", newline="") as fh:
-        fh.write("j,phi_j\n")
-        for j, p in enumerate(model_k.phi, start=1):
-            fh.write(f"{j},{float(p)!r}\n")
-    sidecar = {
-        "k": model_k.k,
-        "v": model_k.v,
-        "partials": [float(x) for x in model_k.partials],
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh)
-
-
-def read_ark_csv(path):
-    phi = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "j,phi_j":
-            raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            _, p = line.strip().split(",")
-            phi.append(float(p))
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    return ArkModel(k=sidecar["k"], phi=np.asarray(phi), v=sidecar["v"],
-                    partials=np.asarray(sidecar["partials"]))

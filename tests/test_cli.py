@@ -35,17 +35,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["coeffcov-mc", "--d", 0.1, "--k", 4, "--t-grid", "256,512",
-            "--reps", 60, "--seed", 3]
-    monkeypatch.setenv("LONGPRED_THREADS", "1")
-    assert run(args + ["--out", out1]) == 0
-    monkeypatch.setenv("LONGPRED_THREADS", "3")
-    assert run(args + ["--out", out2]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_invalid_flag_value_exits_2_without_output(tmp_path):
     out = tmp_path / "never.csv"
     assert run(["cd-curve", "--steps", 0, "--out", out]) == 2

@@ -10,8 +10,7 @@ import longpred as lp
 from longpred.errors import AccuracyError, DomainError
 from longpred.fraccoeff import (_clamp_subnormal,
                                 integrate_symmetric_singular, model_from_json,
-                                model_to_json, read_indexed_csv,
-                                write_indexed_csv)
+                                model_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +309,3 @@ def test_model_json_roundtrip():
     payload = json.loads(model_to_json(model))
     assert set(payload) == {"kind", "d", "ar", "ma", "sigma2"}
 
-
-def test_indexed_csv_roundtrip(tmp_path):
-    values = lp.exact_autocov(lp.LongMemoryModel.fi(0.3), 9).values
-    path = tmp_path / "acov.csv"
-    write_indexed_csv(values, path)
-    assert open(path).readline() == "index,value\n"
-    np.testing.assert_array_equal(read_indexed_csv(path), values)

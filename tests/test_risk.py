@@ -337,7 +337,7 @@ def test_coeffcov_scaling_high_memory_asymptotic_grid():
 
 def test_coeffcov_deterministic_rerun():
     a = lp.coeffcov_scaling(0.1, 4, [256, 512], 60, seed=5)
-    b = lp.coeffcov_scaling(0.1, 4, [256, 512], 60, seed=5, workers=3)
+    b = lp.coeffcov_scaling(0.1, 4, [256, 512], 60, seed=5)
     np.testing.assert_array_equal(a.estimates, b.estimates)
     assert a.slope == b.slope
 
@@ -349,7 +349,7 @@ def test_covmoment_scaling_slopes(covmoment_reports):
 
 def test_covmoment_deterministic_rerun():
     a = lp.covmoment_scaling(0.2, [256, 512], 60, seed=6)
-    b = lp.covmoment_scaling(0.2, [256, 512], 60, seed=6, workers=2)
+    b = lp.covmoment_scaling(0.2, [256, 512], 60, seed=6)
     np.testing.assert_array_equal(a.estimates, b.estimates)
 
 

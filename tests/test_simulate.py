@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,19 @@ def test_innovations_covariance_exact_small_n():
     true = acov.toeplitz(n)
     se = np.sqrt((np.outer(np.diag(true), np.diag(true)) + true ** 2) / reps)
     assert np.max(np.abs(emp - true) / se) <= 4.0
+
+
+def test_innovations_sampler_memory_is_linear_in_n():
+    # the coefficients are updated in place: storing every order's vector
+    # would trace about 64 MB at n = 4096
+    acov = fi_acov(0.3, 4095)
+    tracemalloc.start()
+    try:
+        lp.gaussian_paths(acov, 4096, 2, 1, method="innovations")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_path_lengths_one_and_two():

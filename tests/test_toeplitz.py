@@ -9,7 +9,6 @@ from longpred.fraccoeff import AutocovSeq
 from longpred.rng import derive_rng
 from longpred.series import SamplePath
 from longpred.toeplitz import (innovation_variance_quadratic_form,
-                               read_ark_csv, write_ark_csv,
                                yule_walker_residual)
 
 
@@ -205,17 +204,3 @@ def test_ones_quadratic_form_growth_exponent():
     slope = np.polyfit(np.log(ks), np.log(vals), 1)[0]
     assert slope == pytest.approx(1 - 2 * d, abs=0.05)
 
-
-# ---------------------------------------------------------------------------
-# serialisation
-
-
-def test_ark_csv_roundtrip(tmp_path):
-    model_k = lp.fi_ark_closed_form(0.3, 5)
-    path = tmp_path / "ark.csv"
-    write_ark_csv(model_k, path)
-    again = read_ark_csv(path)
-    assert again.k == model_k.k
-    np.testing.assert_array_equal(again.phi, model_k.phi)
-    np.testing.assert_allclose(again.v, model_k.v)
-    np.testing.assert_array_equal(again.partials, model_k.partials)
