@@ -293,7 +293,7 @@ def _cmd_fit(args, config):
     sample = _read_value_csv(args.sample)
     fit = whittle_fit(sample, d_bounds=(args.d_min, args.d_max))
     print(json.dumps({"d_hat": fit.d_hat, "sigma2_hat": fit.sigma2_hat,
-                      "objective": fit.objective}))
+                      "objective": fit.objective, "at_bound": fit.at_bound}))
     return 0
 
 

@@ -15,6 +15,7 @@ from .errors import NotPositiveDefiniteError
 from .fraccoeff import AutocovSeq
 from .rng import derive_rng, normals
 from .series import SamplePath
+from .toeplitz import _levinson_steps
 
 EIG_TOL_FACTOR = 1e-10  # tolerance = factor * max embedding eigenvalue
 
@@ -87,24 +88,10 @@ def _innovations_paths(acov, n, z):
     step at a time: x_t is the order-t Durbin-Levinson forecast from
     x_0..x_{t-1} plus the innovation sd times z_t.  The coefficients are
     updated in place, so the memory beyond the paths is O(n)."""
-    sig = acov.values
-    if sig[0] <= 0.0:
-        raise NotPositiveDefiniteError(0, "sigma(0) must be positive")
     x = np.empty((z.shape[0], n))
-    x[:, 0] = np.sqrt(sig[0]) * z[:, 0]
-    phi = np.zeros(n - 1)
-    v = sig[0]
-    for t in range(1, n):
-        acc = sig[t] - np.dot(phi[: t - 1], sig[t - 1 : 0 : -1])
-        refl = acc / v
-        if not np.isfinite(refl) or abs(refl) >= 1.0:
-            raise NotPositiveDefiniteError(t)
-        phi[: t - 1] -= refl * phi[: t - 1][::-1]
-        phi[t - 1] = refl
-        v *= 1.0 - refl * refl
-        if v <= 0.0:
-            raise NotPositiveDefiniteError(t)
-        pred = x[:, t - 1 :: -1][:, : t] @ phi[:t]
+    x[:, 0] = np.sqrt(acov.values[0]) * z[:, 0]
+    for t, phi, v in _levinson_steps(acov.values, n - 1):
+        pred = x[:, t - 1 :: -1][:, :t] @ phi
         x[:, t] = pred + np.sqrt(v) * z[:, t]
     return x
 

@@ -38,6 +38,33 @@ class ArkModel:
             raise ValueError("innovation variance must be positive")
 
 
+def _levinson_steps(sig, n):
+    """The Durbin-Levinson recursion over sigma(0..n), one order at a time.
+
+    Yields (t, phi, v) for t = 1..n: phi holds the order-t predictor weights,
+    phi[t - 1] being the reflection coefficient a_{t,t}, and v = v(t).  phi
+    is a view of one array updated in place, so it is valid until the next
+    step and the memory is O(n).  Raises
+    NotPositiveDefiniteError naming the failing order as soon as
+    |a_{t,t}| >= 1 or v(t) <= 0.
+    """
+    if sig[0] <= 0.0:
+        raise NotPositiveDefiniteError(0, "sigma(0) must be positive")
+    phi = np.zeros(n)
+    v = sig[0]
+    for t in range(1, n + 1):
+        acc = sig[t] - np.dot(phi[: t - 1], sig[t - 1 : 0 : -1])
+        refl = acc / v
+        if not np.isfinite(refl) or abs(refl) >= 1.0:
+            raise NotPositiveDefiniteError(t)
+        phi[: t - 1] -= refl * phi[: t - 1][::-1]
+        phi[t - 1] = refl
+        v *= 1.0 - refl * refl
+        if v <= 0.0:
+            raise NotPositiveDefiniteError(t)
+        yield t, phi[:t], v
+
+
 def durbin_levinson(acov, k):
     """Solve the nested Yule-Walker systems up to order k.
 
@@ -54,22 +81,9 @@ def durbin_levinson(acov, k):
         raise ValueError("order k must be >= 1")
     if sig.size < k + 1:
         raise ValueError(f"need lags 0..{k}, have 0..{sig.size - 1}")
-    if sig[0] <= 0.0:
-        raise NotPositiveDefiniteError(0, "sigma(0) must be positive")
-    phi = np.zeros(k)
     partials = np.zeros(k)
-    v = sig[0]
-    for n in range(1, k + 1):
-        acc = sig[n] - np.dot(phi[: n - 1], sig[n - 1 : 0 : -1])
-        refl = acc / v
-        if not np.isfinite(refl) or abs(refl) >= 1.0:
-            raise NotPositiveDefiniteError(n)
-        phi[: n - 1] -= refl * phi[: n - 1][::-1]
-        phi[n - 1] = refl
-        partials[n - 1] = refl
-        v *= 1.0 - refl * refl
-        if v <= 0.0:
-            raise NotPositiveDefiniteError(n)
+    for n, phi, v in _levinson_steps(sig, k):
+        partials[n - 1] = phi[n - 1]
     return ArkModel(k=k, phi=phi, v=float(v), partials=partials)
 
 

@@ -181,6 +181,10 @@ def test_fit_json_output(tmp_path, capsys):
     fit = lp.whittle_fit(sample)
     assert payload["d_hat"] == fit.d_hat
     assert payload["sigma2_hat"] == fit.sigma2_hat
+    assert payload["at_bound"] is None
+    assert run(["fit", "--sample", path, "--d-min", 0.01, "--d-max", 0.05]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["d_hat"], payload["at_bound"]) == (0.05, "upper")
 
 
 def test_total_error_schema(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,16 @@ def test_innovations_sampler_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_innovations_paths_are_bit_stable():
+    # sha256 of the float64 bytes of these paths: any change to the
+    # arithmetic of the Durbin-Levinson recursion shows as another hash
+    acov = fi_acov(0.3, 511)
+    x = np.array([p.values for p in lp.gaussian_paths(
+        acov, 512, 4, 2024, stream=(7,), method="innovations")])
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "8a147f4edc19f9302fbe94c238af965948f8a7d5c5b48ded92c7832b022107bd")
 
 
 def test_path_lengths_one_and_two():

@@ -4,8 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import longpred as lp
+from longpred import spectral
 from longpred.errors import DomainError, EstimationError
 from longpred.series import SamplePath
+
+from whittle_oracle import grid_golden_d_hat
 
 
 def test_constant_sample_has_zero_periodogram():
@@ -150,14 +153,83 @@ def test_fit_deterministic_bit_for_bit():
     assert f1.sigma2_hat == f2.sigma2_hat
 
 
-def test_fit_refinement_resolution():
-    rng = np.random.default_rng(6)
-    sample = SamplePath(values=rng.normal(size=512))
-    fit = lp.whittle_fit(sample)
-    trace_best = fit.grid_trace[np.argmin(fit.grid_trace[:, 1]), 0]
-    # refinement stays inside one grid cell of the coarse minimiser
-    step = fit.grid_trace[1, 0] - fit.grid_trace[0, 0]
-    assert abs(fit.d_hat - trace_best) <= step
+def _contrast_derivative(pgram, d):
+    """D(d) = 2 (sum_j w_j L_j / sum_j w_j - mean_j L_j), w_j = I_j e^{2dL_j},
+    evaluated directly."""
+    L = np.log(2.0 * np.sin(pgram.freqs / 2.0))
+    w = pgram.values * np.exp(2.0 * d * L)
+    return 2.0 * (np.sum(w * L) / np.sum(w) - np.mean(L))
+
+
+@pytest.mark.parametrize("T", [64, 512, 4096])
+def test_fit_is_the_root_of_the_contrast_derivative(T):
+    lo, hi = 1e-4, 0.5 - 1e-4
+    interior = 0
+    for seed, d in enumerate((0.1, 0.25, 0.4, 0.3)):
+        model = lp.LongMemoryModel.fi(d)
+        sample = lp.gaussian_paths(lp.exact_autocov(model, T - 1), T, 1,
+                                   seed=100 + seed)[0]
+        fit = lp.whittle_fit(sample)
+        pgram = lp.periodogram(sample)
+        if fit.at_bound is None:
+            interior += 1
+            assert _contrast_derivative(pgram, fit.d_hat - 1e-9) < 0.0
+            assert _contrast_derivative(pgram, fit.d_hat + 1e-9) > 0.0
+        grid_min = min(lp.whittle_objective(pgram, d)
+                       for d in np.linspace(lo, hi, 50))
+        assert lp.whittle_objective(pgram, fit.d_hat) <= grid_min
+        assert abs(fit.d_hat - grid_golden_d_hat(sample)) <= 1e-5
+    assert interior >= 3
+
+
+def test_fit_reports_lower_bound():
+    sample = SamplePath(values=np.random.default_rng(9).normal(size=512))
+    fit = lp.whittle_fit(sample, d_bounds=(0.2, 0.3))
+    assert fit.d_hat == 0.2
+    assert fit.at_bound == "lower"
+
+
+def test_fit_reports_upper_bound():
+    model = lp.LongMemoryModel.fi(0.45)
+    sample = lp.gaussian_paths(lp.exact_autocov(model, 1023), 1024, 1,
+                               seed=10)[0]
+    fit = lp.whittle_fit(sample, d_bounds=(0.01, 0.05))
+    assert fit.d_hat == 0.05
+    assert fit.at_bound == "upper"
+
+
+def test_fit_derivative_evaluations_are_bounded(monkeypatch):
+    calls = []
+    slope = spectral._contrast_slope
+
+    def counted(*args):
+        calls.append(args[-1])
+        return slope(*args)
+
+    monkeypatch.setattr(spectral, "_contrast_slope", counted)
+    worst = 0
+    for d in (1e-4, 0.1, 0.3, 0.45, 0.49):
+        acov = lp.exact_autocov(lp.LongMemoryModel.fi(d), 4095)
+        for path in lp.gaussian_paths(acov, 4096, 10, seed=11):
+            calls.clear()
+            lp.whittle_fit(path)
+            worst = max(worst, len(calls))
+    assert worst <= 60
+
+    # a derivative whose slope is useless forces bisection all the way
+    def flat_slope(*args):
+        D, _, mean_w = slope(*args)
+        calls.append(args[-1])
+        return D, 0.0, mean_w
+
+    monkeypatch.setattr(spectral, "_contrast_slope", flat_slope)
+    calls.clear()
+    path = lp.gaussian_paths(lp.exact_autocov(lp.LongMemoryModel.fi(0.3),
+                                              4095), 4096, 1, seed=12)[0]
+    fit = lp.whittle_fit(path)
+    assert len(calls) <= 60
+    monkeypatch.undo()
+    assert abs(fit.d_hat - lp.whittle_fit(path).d_hat) <= 2e-12
 
 
 def test_whittle_consistency_mc(whittle_mc_fits):
