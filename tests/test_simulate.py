@@ -1,4 +1,3 @@
-import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,6 +5,8 @@ import pytest
 
 import longpred as lp
 from longpred.simulate import EIG_TOL_FACTOR, circulant_eigenvalues
+
+from levinson_oracle import innovations_paths_inline
 
 
 def fi_acov(d, m, sigma2=1.0):
@@ -114,14 +115,16 @@ def test_innovations_sampler_memory_is_linear_in_n():
     assert peak < 8e6
 
 
-def test_innovations_paths_are_bit_stable():
-    # sha256 of the float64 bytes of these paths: any change to the
-    # arithmetic of the Durbin-Levinson recursion shows as another hash
-    acov = fi_acov(0.3, 511)
+@pytest.mark.parametrize("d, n, reps", [(0.3, 2048, 4), (0.3, 512, 8),
+                                         (0.45, 64, 16), (0.1, 2, 3)])
+def test_innovations_paths_match_the_inline_recursion(d, n, reps):
+    # the sampler steps the shared Durbin-Levinson recursion; an inline
+    # copy of the loop doing the same arithmetic must agree bit for bit
+    acov = fi_acov(d, n - 1)
     x = np.array([p.values for p in lp.gaussian_paths(
-        acov, 512, 4, 2024, stream=(7,), method="innovations")])
-    assert hashlib.sha256(x.tobytes()).hexdigest() == (
-        "8a147f4edc19f9302fbe94c238af965948f8a7d5c5b48ded92c7832b022107bd")
+        acov, n, reps, 2024, stream=(7,), method="innovations")])
+    assert np.array_equal(
+        x, innovations_paths_inline(acov, n, reps, 2024, stream=(7,)))
 
 
 def test_path_lengths_one_and_two():

@@ -11,6 +11,8 @@ from longpred.series import SamplePath
 from longpred.toeplitz import (innovation_variance_quadratic_form,
                                yule_walker_residual)
 
+from levinson_oracle import durbin_levinson_inline
+
 
 def random_pd_acov(rng, m, taps=4):
     """Autocovariance of a random MA(taps) filter: positive definite by
@@ -50,6 +52,22 @@ def test_matches_closed_form_at_order_30():
     by_recursion = lp.durbin_levinson(acov, 30)
     closed = lp.fi_ark_closed_form(d, 30)
     np.testing.assert_allclose(by_recursion.phi, closed.phi, atol=1e-10)
+
+
+@pytest.mark.parametrize("model", [
+    lp.LongMemoryModel.fi(0.1), lp.LongMemoryModel.fi(0.45),
+    lp.LongMemoryModel.farima(0.3, ar=(0.5,)),
+    lp.LongMemoryModel.farima(0.2, ar=(0.5,), ma=(0.3,))])
+@pytest.mark.parametrize("k", [1, 10, 200, 800])
+def test_matches_the_inline_recursion_bitwise(model, k):
+    # durbin_levinson steps the shared recursion; an inline copy of the
+    # loop doing the same arithmetic must agree bit for bit
+    model_k = lp.durbin_levinson(lp.exact_autocov(model, k), k)
+    phi, v, partials = durbin_levinson_inline(
+        lp.exact_autocov(model, k).values, k)
+    assert np.array_equal(model_k.phi, phi)
+    assert model_k.v == v
+    assert np.array_equal(model_k.partials, partials)
 
 
 def test_not_positive_definite_names_failing_order():
