@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 from scipy.signal import lfilter
 from scipy.special import gammaln, zeta
 
@@ -328,26 +327,6 @@ def spectral_density(model, lam):
     if np.isscalar(lam) or np.ndim(lam) == 0:
         return float(f)
     return f
-
-
-def integrate_symmetric_singular(g, alpha, rtol=1e-10, split=0.5):
-    """integral_{-pi}^{pi} g(lambda) d lambda for an even g with an
-    integrable |lambda|^(-alpha) singularity at 0 (0 <= alpha < 1).
-
-    The singular piece uses the substitution u = lambda^(1-alpha).
-    """
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"singularity exponent {alpha} outside [0, 1)")
-    beta = 1.0 - alpha
-
-    def transformed(u):
-        lam = u ** (1.0 / beta)
-        return g(lam) * (1.0 / beta) * u ** (1.0 / beta - 1.0)
-
-    i_sing, _ = quad(transformed, 0.0, split ** beta, epsabs=0.0, epsrel=rtol,
-                     limit=200)
-    i_reg, _ = quad(g, split, np.pi, epsabs=0.0, epsrel=rtol, limit=200)
-    return 2.0 * (i_sing + i_reg)
 
 
 def model_to_json(model):

@@ -31,8 +31,7 @@ from .errors import (AccuracyError, DomainError, InternalConsistencyError,
 from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
                         _arma_polys, _farima_autocov, _fi_acf, _fi_ar_values,
                         _fi_delta, _log_abs_gamma_neg, _roundoff,
-                        ar_inf_coeffs, exact_autocov,
-                        integrate_symmetric_singular, spectral_density)
+                        ar_inf_coeffs, exact_autocov)
 from .simulate import gaussian_paths
 from .spectral import whittle_fit
 from .toeplitz import (durbin_levinson, empirical_autocov,
@@ -251,29 +250,35 @@ def compute_H(model, model_k):
     h(lambda) = |1 - sum_r phi_r e^{i r lambda}|^2 and
     h^(r) = -2 [cos(r lambda) - sum_s phi_s cos((r-s) lambda)].
 
-    Requires d < 1/4 so that f^2 is integrable.
+    Evaluated as a finite sum, without quadrature: f^2 of FI(d) is
+    sigma2/(2 pi) times the FI(2d) density with the same sigma2, and for
+    FARIMA the FARIMA(2d) density with the squared AR and MA polynomials,
+    so g(m) = integral cos(m lambda) f^2 is sigma2/(2 pi) times the 2d
+    model's autocovariance at lag m.  With c_0 = 1, c_s = -phi_s,
+    r = the autocorrelation and q = the self-convolution of c,
+    H_ij = 2 [sum_u r(u) g(i-j-u) + sum_v q(v) g(i+j-v)], a Toeplitz plus
+    a Hankel matrix over the lags 0..2k.
+
+    Requires d < 1/4 so that f^2 is integrable (2d < 1/2).  The 2d model's
+    autocovariances carry their own certification, so an AR root too close
+    to the unit circle raises AccuracyError.
     """
     if model.d >= 0.25:
         raise DomainError("H is defined only for d < 1/4 (f^2 integrable)")
     k = model_k.k
-    phi = model_k.phi
-
-    def deriv(r, lam):
-        s = np.arange(1, k + 1)
-        return -2.0 * (np.cos(r * lam) - np.dot(phi, np.cos((r - s) * lam)))
-
-    H = np.empty((k, k))
-    alpha = 4.0 * model.d
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            def integrand(lam, i=i, j=j):
-                f = spectral_density(model, lam)
-                return deriv(i, lam) * deriv(j, lam) * f * f
-
-            val = integrate_symmetric_singular(integrand, alpha)
-            H[i - 1, j - 1] = val
-            H[j - 1, i - 1] = val
-    return H
+    phi, theta = _arma_polys(model)
+    squared = LongMemoryModel.farima(
+        2.0 * model.d, ar=-np.convolve(phi, phi)[1:],
+        ma=np.convolve(theta, theta)[1:], sigma2_eps=model.sigma2_eps)
+    g = exact_autocov(squared, 2 * k).values
+    g = model.sigma2_eps / (2.0 * np.pi) * np.r_[g[:0:-1], g]  # lags -2k..2k
+    c = np.r_[1.0, -model_k.phi]
+    toeplitz = np.convolve(g, np.correlate(c, c, "full"), "valid")  # -k..k
+    hankel = np.convolve(g, np.convolve(c, c), "valid")  # 0..2k
+    i = np.arange(1, k + 1)
+    H = 2.0 * (toeplitz[np.subtract.outer(i, i) + k]
+               + hankel[np.add.outer(i, i)])
+    return 0.5 * (H + H.T)
 
 
 def h_sandwich(model, model_k):

@@ -178,13 +178,15 @@ def yule_walker_residual(acov, model_k):
 
 
 def innovation_variance_quadratic_form(acov, model_k):
-    """v(k) recomputed as sigma(0) - 2 phi'rho + phi'Sigma phi."""
+    """v(k) recomputed as sigma(0) - 2 phi'rho + phi'Sigma phi.
+
+    phi'Sigma phi is summed by lag, sigma(0) w_0 + 2 sum_{h>=1} sigma(h) w_h
+    with the lag products w_h = sum_j phi_j phi_{j+h}, so no k x k matrix is
+    formed.
+    """
     k = model_k.k
     sig = acov.values
     phi = model_k.phi
-    return float(
-        sig[0]
-        - 2.0 * np.dot(phi, sig[1 : k + 1])
-        + phi @ acov.toeplitz(k) @ phi
-    )
-
+    w = np.correlate(phi, phi, "full")[k - 1 :]
+    return float(sig[0] - 2.0 * np.dot(phi, sig[1 : k + 1])
+                 + sig[0] * w[0] + 2.0 * np.dot(sig[1:k], w[1:]))

@@ -8,9 +8,9 @@ from scipy.special import gamma as Gamma
 
 import longpred as lp
 from longpred.errors import AccuracyError, DomainError
-from longpred.fraccoeff import (_clamp_subnormal,
-                                integrate_symmetric_singular, model_from_json,
-                                model_to_json)
+from longpred.fraccoeff import _clamp_subnormal, model_from_json, model_to_json
+
+from quadrature_oracle import integrate_symmetric_singular
 
 
 # ---------------------------------------------------------------------------

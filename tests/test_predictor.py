@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import longpred as lp
@@ -32,15 +32,29 @@ def test_coefficient_prefix_too_short():
         lp.wk_truncated_predict(coeffs, SamplePath(values=np.zeros(4)))
 
 
+@example(values=[2.225073858507e-311], p=1)
 @given(windows, st.integers(-6, 6))
 def test_wk_scaling_exact_for_dyadic_factors(values, p):
-    # powers of two scale without rounding, so equality is bitwise
     c = 2.0 ** p
     w = np.asarray(values)
     coeffs = lp.ar_inf_coeffs(lp.LongMemoryModel.fi(0.25), w.size)
     base = lp.wk_truncated_predict(coeffs, SamplePath(values=w)).value
     scaled = lp.wk_truncated_predict(coeffs, SamplePath(values=c * w)).value
-    assert scaled == c * base
+    products = np.abs(coeffs.values[1:] * w[::-1])[w[::-1] != 0.0]
+    if np.all(products * min(c, 1.0) >= 2.0 * np.finfo(float).tiny):
+        # powers of two scale normal products and their sums without
+        # rounding, so equality is bitwise
+        assert scaled == c * base
+    else:
+        # a subnormal product rounds on the fixed grid of spacing 2^-1074:
+        # each forecast is within gamma_n sum|a_j w_j| plus n half steps of
+        # its exact value
+        n = w.size
+        u = np.finfo(float).eps / 2
+        gamma_n = n * u / (1.0 - n * u)
+        bound = (2.0 * gamma_n * c * np.sum(products)
+                 + (1.0 + c) * n / 2.0 * 2.0 ** -1074)
+        assert abs(scaled - c * base) <= bound
 
 
 @given(windows, st.floats(-10.0, 10.0))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,10 +9,13 @@ from scipy.special import gamma as Gamma
 from scipy.special import gammaln
 
 import longpred as lp
-from longpred.errors import DomainError, StatisticalPowerError
+from longpred.errors import (AccuracyError, DomainError,
+                             InternalConsistencyError, StatisticalPowerError)
 from longpred.risk import (excess_decomposition, h_sandwich,
                            wk_plugin_order_scaling)
 from longpred.tails import powerlaw_tail_sum
+
+from quadrature_oracle import compute_H_quadrature
 
 
 def c_oracle(d):
@@ -143,6 +148,18 @@ def test_ark_never_exceeds_truncation():
         model = lp.LongMemoryModel.fi(d)
         for k in (1, 2, 5, 10, 50, 200):
             assert lp.ark_excess(model, k) <= lp.truncation_excess(model, k)
+
+
+def test_ark_excess_cross_check_catches_a_wrong_recursion(monkeypatch):
+    # a Levinson v off by 1e-6 sigma(0) is 100 times the 1e-8 check
+    def shifted(acov, k):
+        model_k = lp.durbin_levinson(acov, k)
+        return dataclasses.replace(model_k,
+                                   v=model_k.v + 1e-6 * acov.values[0])
+
+    monkeypatch.setattr("longpred.risk.durbin_levinson", shifted)
+    with pytest.raises(InternalConsistencyError):
+        lp.ark_excess(lp.LongMemoryModel.fi(0.3), 50)
 
 
 def test_k_times_ark_excess_converges_to_d_squared():
@@ -297,6 +314,34 @@ def test_H_domain_limit():
     model_k = lp.durbin_levinson(lp.exact_autocov(model, 2), 2)
     with pytest.raises(DomainError):
         lp.compute_H(model, model_k)
+
+
+@pytest.mark.parametrize("model,k", [
+    *[(lp.LongMemoryModel.fi(d), k)
+      for d in (1e-4, 0.05, 0.1, 0.2, 0.24) for k in (1, 2, 8)],
+    (lp.LongMemoryModel.farima(0.1, ar=(0.5,), ma=(0.3,)), 8),
+    (lp.LongMemoryModel.farima(0.2, ar=(0.7,)), 8),
+    (lp.LongMemoryModel.farima(0.05, ma=(-0.6,)), 8),
+])
+def test_compute_H_matches_quadrature_oracle(model, k):
+    model_k = lp.durbin_levinson(lp.exact_autocov(model, k), k)
+    H = lp.compute_H(model, model_k)
+    oracle = compute_H_quadrature(model, model_k)
+    assert np.max(np.abs(H - oracle)) <= 1e-9 * np.max(np.abs(H))
+    assert np.array_equal(H, H.T)
+    assert np.linalg.eigvalsh(H).min() > 0
+
+
+def test_compute_H_farima_root_near_unit_circle_fails_loudly():
+    # the squared AR polynomial keeps the root 1/0.995, whose ARMA cutoff
+    # exceeds what exact_autocov certifies
+    model = lp.LongMemoryModel.farima(0.1, ar=(0.995,))
+    model_k = lp.durbin_levinson(
+        lp.exact_autocov(lp.LongMemoryModel.fi(0.1), 8), 8)
+    t0 = time.perf_counter()
+    with pytest.raises(AccuracyError):
+        lp.compute_H(model, model_k)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_h_sandwich_symmetric_pd():

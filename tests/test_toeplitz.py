@@ -100,6 +100,21 @@ def test_innovation_variance_identity(seed, k):
     np.testing.assert_allclose(quad, model_k.v, rtol=1e-9)
 
 
+@pytest.mark.parametrize("model,k", [
+    *[(lp.LongMemoryModel.fi(d), k) for k in (10, 200, 1600)
+      for d in (0.1, 0.45)],
+    (lp.LongMemoryModel.farima(0.2, ar=(0.5,), ma=(0.3,)), 800),
+])
+def test_innovation_variance_quadratic_form_matches_dense(model, k):
+    acov = lp.exact_autocov(model, k)
+    model_k = lp.durbin_levinson(acov, k)
+    sig, phi = acov.values, model_k.phi
+    dense = (sig[0] - 2.0 * np.dot(phi, sig[1 : k + 1])
+             + phi @ acov.toeplitz(k) @ phi)
+    assert (abs(innovation_variance_quadratic_form(acov, model_k) - dense)
+            <= 1e-13 * sig[0])
+
+
 def test_innovation_variance_monotone_on_fi():
     acov = lp.exact_autocov(lp.LongMemoryModel.fi(0.4, sigma2_eps=2.0), 60)
     vs = [lp.durbin_levinson(acov, k).v for k in range(1, 61)]
