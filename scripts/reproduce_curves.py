@@ -18,13 +18,15 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
 def run():
     OUT.mkdir(exist_ok=True)
-    rc = main(["cd-curve", "--d-min", "0.01", "--d-max", "0.49",
-               "--steps", "49", "--out", str(OUT / "cd_curve.csv")])
-    rc |= main(["ratio-curve",
-                "--d", "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45",
-                "--k", "5,10,20,50,100",
-                "--out", str(OUT / "ratio_curve.csv")])
-    return rc
+    # the worst exit code, so that 0/1/2 keep their meaning
+    return max(main(argv) for argv in (
+        ["cd-curve", "--d-min", "0.01", "--d-max", "0.49",
+         "--steps", "49", "--out", str(OUT / "cd_curve.csv")],
+        ["ratio-curve",
+         "--d", "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45",
+         "--k", "5,10,20,50,100",
+         "--out", str(OUT / "ratio_curve.csv")],
+    ))
 
 
 if __name__ == "__main__":

@@ -21,28 +21,29 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
 def run():
     OUT.mkdir(exist_ok=True)
-    rc = 0
-    rc |= main(["estimation-error", "--d", "0.1", "--k", "8",
-                "--t-grid", "1024,2048,4096,8192", "--reps", "200",
-                "--seed", "1234", "--out", str(OUT / "estimation_error.csv")])
-    rc |= main(["coeffcov-mc", "--d", "0.1", "--k", "8",
-                "--t-grid", "1024,2048,4096,8192", "--reps", "200",
-                "--seed", "1234", "--out", str(OUT / "coeffcov_low.csv")])
-    rc |= main(["coeffcov-mc", "--d", "0.4", "--k", "8",
-                "--t-grid", "8192,16384,32768,65536", "--reps", "400",
-                "--seed", "77", "--out", str(OUT / "coeffcov_high.csv")])
-    rc |= main(["covmoment-mc", "--d", "0.1",
-                "--n-grid", "1024,2048,4096,8192", "--reps", "200",
-                "--seed", "1234", "--out", str(OUT / "covmoment_low.csv")])
-    rc |= main(["covmoment-mc", "--d", "0.4",
-                "--n-grid", "1024,2048,4096,8192", "--reps", "200",
-                "--seed", "1234", "--out", str(OUT / "covmoment_high.csv")])
-    rc |= main(["whittle-mc", "--d", "0.3", "--t", "4096", "--reps", "100",
-                "--seed", "2024", "--out", str(OUT / "whittle_mc.csv")])
-    rc |= main(["total-error", "--d", "0.2", "--k-grid", "8,16,32",
-                "--t-grid", "512,1024,2048,4096", "--reps", "100",
-                "--seed", "7", "--out", str(OUT / "total_error.csv")])
-    return rc
+    # the worst exit code, so that 0/1/2 keep their meaning
+    return max(main(argv) for argv in (
+        ["estimation-error", "--d", "0.1", "--k", "8",
+         "--t-grid", "1024,2048,4096,8192", "--reps", "200",
+         "--seed", "1234", "--out", str(OUT / "estimation_error.csv")],
+        ["coeffcov-mc", "--d", "0.1", "--k", "8",
+         "--t-grid", "1024,2048,4096,8192", "--reps", "200",
+         "--seed", "1234", "--out", str(OUT / "coeffcov_low.csv")],
+        ["coeffcov-mc", "--d", "0.4", "--k", "8",
+         "--t-grid", "8192,16384,32768,65536", "--reps", "400",
+         "--seed", "77", "--out", str(OUT / "coeffcov_high.csv")],
+        ["covmoment-mc", "--d", "0.1",
+         "--n-grid", "1024,2048,4096,8192", "--reps", "200",
+         "--seed", "1234", "--out", str(OUT / "covmoment_low.csv")],
+        ["covmoment-mc", "--d", "0.4",
+         "--n-grid", "1024,2048,4096,8192", "--reps", "200",
+         "--seed", "1234", "--out", str(OUT / "covmoment_high.csv")],
+        ["whittle-mc", "--d", "0.3", "--t", "4096", "--reps", "100",
+         "--seed", "2024", "--out", str(OUT / "whittle_mc.csv")],
+        ["total-error", "--d", "0.2", "--k-grid", "8,16,32",
+         "--t-grid", "512,1024,2048,4096", "--reps", "100",
+         "--seed", "7", "--out", str(OUT / "total_error.csv")],
+    ))
 
 
 if __name__ == "__main__":

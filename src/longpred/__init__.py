@@ -16,10 +16,10 @@ from .fraccoeff import (AutocovSeq, CoeffSeq, LongMemoryModel, ar_inf_coeffs,
                         model_to_json, spectral_density)
 from .predictor import (Forecast, ark_plugin_predict, ark_predict,
                         wk_plugin_predict, wk_truncated_predict)
-from .risk import (RiskReport, SlopeReport, ark_excess, c_of_d,
-                   coeffcov_scaling, compute_H, covmoment_scaling,
-                   excess_decomposition, fi_risk_report, h_covariance_check,
-                   r_of_k, truncation_excess, wk_plugin_scaling)
+from .risk import (SlopeReport, ark_excess, c_of_d, coeffcov_scaling,
+                   compute_H, covmoment_scaling, excess_decomposition,
+                   h_covariance_check, r_of_k, truncation_excess,
+                   wk_plugin_scaling)
 from .series import SamplePath
 from .simulate import SimulationPlan, gaussian_paths, gaussian_sample
 from .spectral import (Periodogram, WhittleFit, periodogram,
@@ -32,12 +32,12 @@ __all__ = [
     "AccuracyError", "ArkModel", "AutocovSeq", "CoeffSeq", "DomainError",
     "EstimationError", "Forecast", "InternalConsistencyError",
     "LongMemoryModel", "NotPositiveDefiniteError", "Periodogram",
-    "RiskReport", "SamplePath", "SimulationPlan", "SlopeReport",
+    "SamplePath", "SimulationPlan", "SlopeReport",
     "StatisticalPowerError", "WhittleFit", "ar_inf_coeffs",
     "ark_excess", "ark_plugin_predict", "ark_predict", "c_of_d",
     "coeffcov_scaling", "compute_H", "covmoment_scaling", "durbin_levinson",
     "empirical_autocov", "exact_autocov", "excess_decomposition",
-    "fi_ark_closed_form", "fi_risk_report", "gaussian_paths",
+    "fi_ark_closed_form", "gaussian_paths",
     "gaussian_sample", "h_covariance_check", "ma_inf_coeffs",
     "model_from_json", "model_to_json", "periodogram",
     "periodogram_ordinate", "r_of_k", "spectral_density", "toeplitz_solve",

@@ -30,8 +30,7 @@ from .simulate import gaussian_paths
 from .spectral import whittle_fit
 from .toeplitz import durbin_levinson
 from .risk import (ark_excess, c_of_d, coeffcov_scaling, covmoment_scaling,
-                   fi_risk_report, truncation_excess, wk_plugin_scaling,
-                   _loglog_slope)
+                   r_of_k, truncation_excess, wk_plugin_scaling, _loglog_slope)
 
 
 class UsageError(ValueError):
@@ -128,21 +127,18 @@ def _load_model(source):
         raise UsageError(f"bad model argument: {exc}") from exc
 
 
-def _read_value_csv(path, flag="--sample"):
+def _read_values(path, flag):
+    """The ``value`` column of a CSV read by ``read_artifact``."""
     if path is None:
         raise UsageError(f"{flag} is required (CSV with a 'value' column)")
-    values = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "value":
-            raise UsageError(f"{path}: expected single 'value' column header")
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(float(line))
-    if not values:
+    _, rows = read_artifact(path)
+    if not rows:
         raise UsageError(f"{path}: no data rows")
-    return SamplePath(values=np.asarray(values))
+    try:
+        values = [row["value"] for row in rows]
+    except KeyError:
+        raise UsageError(f"{path}: no 'value' column") from None
+    return SamplePath(values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +162,7 @@ def _cmd_cd_curve(args, config):
 def _cmd_ratio_curve(args, config):
     d_grid = _parse_grid(args.d)
     k_grid = _parse_int_grid(args.k)
-    rows = []
-    for d in d_grid:
-        for k in k_grid:
-            report = fi_risk_report(d, k)
-            rows.append((k, d, report.ratio))
+    rows = [(k, d, r_of_k(d, k)) for d in d_grid for k in k_grid]
     write_artifact(args.out, ["k", "d", "r"], rows, args.seed, config)
     return 0
 
@@ -200,17 +192,10 @@ def _slope_rows(report):
     ]
 
 
-def _cmd_estimation_error(args, config):
-    report = wk_plugin_scaling(args.d, args.k, _parse_int_grid(args.t_grid),
-                               args.reps, args.seed)
-    write_artifact(args.out, ["T", "estimate", "stderr", "fitted_slope"],
-                   _slope_rows(report), args.seed, config)
-    return 0
-
-
-def _cmd_coeffcov_mc(args, config):
-    report = coeffcov_scaling(args.d, args.k, _parse_int_grid(args.t_grid),
-                              args.reps, args.seed)
+def _cmd_scaling(args, config):
+    """estimation-error and coeffcov-mc: ``args.scaling`` over the T grid."""
+    report = args.scaling(args.d, args.k, _parse_int_grid(args.t_grid),
+                          args.reps, args.seed)
     write_artifact(args.out, ["T", "estimate", "stderr", "fitted_slope"],
                    _slope_rows(report), args.seed, config)
     return 0
@@ -239,8 +224,8 @@ def _cmd_whittle_mc(args, config):
 
 def _cmd_simulate(args, config):
     model = _load_model(args.model)
-    if args.n < 1 or args.reps < 1:
-        raise UsageError("--n and --reps must be >= 1")
+    if args.n < 1:
+        raise UsageError("--n must be >= 1")
     acov = exact_autocov(model, args.n - 1)
     paths = gaussian_paths(acov, args.n, args.reps, args.seed, stream=(5,))
     os.makedirs(args.out, exist_ok=True)
@@ -261,7 +246,7 @@ def _cmd_simulate(args, config):
 
 
 def _cmd_predict(args, config):
-    window = _read_value_csv(args.window, "--window")
+    window = _read_values(args.window, "--window")
     k = args.k if args.k is not None else len(window)
     if args.method in ("wk", "ark"):
         if args.model is None:
@@ -277,7 +262,7 @@ def _cmd_predict(args, config):
     elif args.method in ("wk-plugin", "ark-plugin"):
         if args.train is None:
             raise UsageError(f"--method {args.method} needs --train")
-        train = _read_value_csv(args.train, "--train")
+        train = _read_values(args.train, "--train")
         if args.method == "wk-plugin":
             forecast = wk_plugin_predict(train, window, k)
         else:
@@ -290,7 +275,7 @@ def _cmd_predict(args, config):
 
 
 def _cmd_fit(args, config):
-    sample = _read_value_csv(args.sample)
+    sample = _read_values(args.sample, "--sample")
     fit = whittle_fit(sample, d_bounds=(args.d_min, args.d_max))
     print(json.dumps({"d_hat": fit.d_hat, "sigma2_hat": fit.sigma2_hat,
                       "objective": fit.objective, "at_bound": fit.at_bound}))
@@ -328,175 +313,133 @@ def _cmd_total_error(args, config):
 
 
 def _build_parser():
+    """The top-level parser and its subparsers action (``.choices`` maps a
+    subcommand to its parser).  Every built-in default sits on its flag."""
     parser = argparse.ArgumentParser(
         prog="longpred",
         description="Long-memory next-step prediction experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        p.add_argument("--seed", type=int, default=None)
+    def command(name, summary, fn, out=True, reps=None, **fixed):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; explicit flags override it")
         if out:
             p.add_argument("--out", type=str, default=None)
+        if reps is not None:
+            p.add_argument("--reps", type=int, default=reps)
+        p.set_defaults(fn=fn, **fixed)
+        return p
 
-    p = sub.add_parser("cd-curve", help="constant of the k^-1 truncation rate")
-    common(p)
-    p.add_argument("--d-min", type=float, default=None)
-    p.add_argument("--d-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.set_defaults(fn=_cmd_cd_curve,
-                   defaults={"d_min": 0.01, "d_max": 0.49, "steps": 49})
+    p = command("cd-curve", "constant of the k^-1 truncation rate",
+                _cmd_cd_curve)
+    p.add_argument("--d-min", type=float, default=0.01)
+    p.add_argument("--d-max", type=float, default=0.49)
+    p.add_argument("--steps", type=int, default=49)
 
-    p = sub.add_parser("ratio-curve", help="improvement ratio r(k)")
-    common(p)
-    p.add_argument("--d", type=str, default=None, help="comma list")
-    p.add_argument("--k", type=str, default=None, help="comma list")
-    p.set_defaults(fn=_cmd_ratio_curve, defaults={"d": "0.1,0.2,0.3,0.4",
-                                                  "k": "10,20,50,100"})
+    p = command("ratio-curve", "improvement ratio r(k)", _cmd_ratio_curve)
+    p.add_argument("--d", type=str, default="0.1,0.2,0.3,0.4",
+                   help="comma list")
+    p.add_argument("--k", type=str, default="10,20,50,100", help="comma list")
 
-    p = sub.add_parser("trunc-rate", help="k * truncation excess over a k grid")
-    common(p)
-    p.add_argument("--d", type=str, default=None)
-    p.add_argument("--k-grid", type=str, default=None)
-    p.set_defaults(fn=_cmd_rate, excess=truncation_excess,
-                   defaults={"d": "0.1,0.2,0.3,0.4",
-                             "k_grid": "100,200,400,800,1600"})
+    p = command("trunc-rate", "k * truncation excess over a k grid",
+                _cmd_rate, excess=truncation_excess)
+    p.add_argument("--d", type=str, default="0.1,0.2,0.3,0.4")
+    p.add_argument("--k-grid", type=str, default="100,200,400,800,1600")
 
-    p = sub.add_parser("ark-rate", help="k * AR(k) excess over a k grid")
-    common(p)
-    p.add_argument("--d", type=str, default=None)
-    p.add_argument("--k-grid", type=str, default=None)
-    p.set_defaults(fn=_cmd_rate, excess=ark_excess,
-                   defaults={"d": "0.2,0.3", "k_grid": "100,200,400,800"})
+    p = command("ark-rate", "k * AR(k) excess over a k grid", _cmd_rate,
+                excess=ark_excess)
+    p.add_argument("--d", type=str, default="0.2,0.3")
+    p.add_argument("--k-grid", type=str, default="100,200,400,800")
 
-    def mc_common(p):
-        common(p)
-        p.add_argument("--reps", type=int, default=None)
+    for name, summary, scaling in (
+            ("estimation-error",
+             "wk-plugin vs exact predictor MSE scaling in T",
+             wk_plugin_scaling),
+            ("coeffcov-mc", "ark-plugin vs exact predictor MSE scaling in T",
+             coeffcov_scaling)):
+        p = command(name, summary, _cmd_scaling, reps=200, scaling=scaling)
+        p.add_argument("--d", type=float, default=0.1)
+        p.add_argument("--k", type=int, default=8)
+        p.add_argument("--t-grid", type=str, default="1024,2048,4096,8192")
 
-    p = sub.add_parser("estimation-error",
-                       help="wk-plugin vs exact predictor MSE scaling in T")
-    mc_common(p)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--t-grid", type=str, default=None)
-    p.set_defaults(fn=_cmd_estimation_error,
-                   defaults={"d": 0.1, "k": 8,
-                             "t_grid": "1024,2048,4096,8192", "reps": 200})
+    p = command("covmoment-mc", "lag-0 covariance estimator MSE scaling in n",
+                _cmd_covmoment_mc, reps=200)
+    p.add_argument("--d", type=float, default=0.1)
+    p.add_argument("--n-grid", type=str, default="1024,2048,4096,8192")
 
-    p = sub.add_parser("coeffcov-mc",
-                       help="ark-plugin vs exact predictor MSE scaling in T")
-    mc_common(p)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--t-grid", type=str, default=None)
-    p.set_defaults(fn=_cmd_coeffcov_mc,
-                   defaults={"d": 0.1, "k": 8,
-                             "t_grid": "1024,2048,4096,8192", "reps": 200})
+    p = command("whittle-mc", "replicated Whittle fits", _cmd_whittle_mc,
+                reps=100)
+    p.add_argument("--d", type=float, default=0.3)
+    p.add_argument("--t", type=int, default=4096)
 
-    p = sub.add_parser("covmoment-mc",
-                       help="lag-0 covariance estimator MSE scaling in n")
-    mc_common(p)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--n-grid", type=str, default=None)
-    p.set_defaults(fn=_cmd_covmoment_mc,
-                   defaults={"d": 0.1, "n_grid": "1024,2048,4096,8192",
-                             "reps": 200})
-
-    p = sub.add_parser("whittle-mc", help="replicated Whittle fits")
-    mc_common(p)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.set_defaults(fn=_cmd_whittle_mc, defaults={"d": 0.3, "t": 4096,
-                                                 "reps": 100})
-
-    p = sub.add_parser("simulate", help="exact Gaussian sample paths")
-    common(p)
+    p = command("simulate", "exact Gaussian sample paths", _cmd_simulate,
+                reps=1)
     p.add_argument("--model", type=str, default=None,
                    help="inline JSON or path to a model JSON file")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--single-file", action="store_true", default=None)
-    p.set_defaults(fn=_cmd_simulate, defaults={"n": 1024, "reps": 1,
-                                               "single_file": False})
+    p.add_argument("--n", type=int, default=1024)
+    p.add_argument("--single-file", action="store_true")
 
-    p = sub.add_parser("predict", help="one-step forecast from CSV inputs")
-    common(p, out=False)
-    p.add_argument("--method", type=str, default=None,
+    p = command("predict", "one-step forecast from CSV inputs", _cmd_predict,
+                out=False)
+    p.add_argument("--method", type=str, default="ark",
                    choices=["wk", "ark", "wk-plugin", "ark-plugin"])
     p.add_argument("--window", type=str, default=None)
     p.add_argument("--train", type=str, default=None)
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(fn=_cmd_predict, defaults={"method": "ark"})
 
-    p = sub.add_parser("fit", help="Whittle fit of a sample CSV")
-    common(p, out=False)
+    p = command("fit", "Whittle fit of a sample CSV", _cmd_fit, out=False)
     p.add_argument("--sample", type=str, default=None)
-    p.add_argument("--d-min", type=float, default=None)
-    p.add_argument("--d-max", type=float, default=None)
-    p.set_defaults(fn=_cmd_fit, defaults={"d_min": 1e-4, "d_max": 0.5 - 1e-4})
+    p.add_argument("--d-min", type=float, default=1e-4)
+    p.add_argument("--d-max", type=float, default=0.5 - 1e-4)
 
-    p = sub.add_parser("total-error",
-                       help="method vs estimation error over a (k, T) grid")
-    mc_common(p)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--k-grid", type=str, default=None)
-    p.add_argument("--t-grid", type=str, default=None)
-    p.set_defaults(fn=_cmd_total_error,
-                   defaults={"d": 0.2, "k_grid": "8,16,32",
-                             "t_grid": "512,1024,2048", "reps": 100})
+    p = command("total-error", "method vs estimation error over a (k, T) grid",
+                _cmd_total_error, reps=100)
+    p.add_argument("--d", type=float, default=0.2)
+    p.add_argument("--k-grid", type=str, default="8,16,32")
+    p.add_argument("--t-grid", type=str, default="512,1024,2048")
 
-    return parser
+    return parser, sub
 
 
-_NEEDS_OUT = {
-    "cd-curve", "ratio-curve", "trunc-rate", "ark-rate", "estimation-error",
-    "coeffcov-mc", "covmoment-mc", "whittle-mc", "simulate", "total-error",
-}
+def _parse(argv):
+    """Parsed arguments and the config dict that the artifact header hashes.
 
-
-def _merge_config(args):
-    """Fill unset flags from the config file, then from built-in defaults."""
-    file_cfg = {}
+    A ``--config`` file becomes the subcommand's defaults before a second
+    parse, so an explicit flag beats the file and the file beats the
+    built-in default; string values go through the flag's type.
+    """
+    parser, sub = _build_parser()
+    args = parser.parse_args(argv)
+    subparser = sub.choices[args.command]
+    flags = {a.dest for a in subparser._actions} - {"help", "config"}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise UsageError("--config must hold a JSON object")
-    flags = set(vars(args)) - {"fn", "excess", "defaults", "config",
-                               "command"}
-    unknown = sorted(set(file_cfg) - flags)
-    if unknown:
-        raise UsageError(f"unknown --config key(s) for {args.command}: "
-                         f"{', '.join(unknown)}")
-    merged = {}
-    defaults = dict(getattr(args, "defaults", {}))
-    defaults.setdefault("seed", 0)
-    for key, value in vars(args).items():
-        if key not in flags:
-            continue
-        if value is None:
-            value = file_cfg.get(key, defaults.get(key))
-        merged[key] = value
-        setattr(args, key, value)
-    if args.command in _NEEDS_OUT and not args.out:
+        unknown = sorted(set(file_cfg) - flags)
+        if unknown:
+            raise UsageError(f"unknown --config key(s) for {args.command}: "
+                             f"{', '.join(unknown)}")
+        subparser.set_defaults(**file_cfg)
+        args = parser.parse_args(argv)
+    if "out" in flags and not args.out:
         raise UsageError("--out is required")
-    if merged.get("reps") is not None and merged["reps"] < 1:
+    if "reps" in flags and args.reps < 1:
         raise UsageError("--reps must be >= 1")
-    return merged
+    return args, {name: getattr(args, name) for name in flags}
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        config = _merge_config(args)
+        args, config = _parse(argv)
         return args.fn(args, config)
+    except SystemExit as exc:  # raised by argparse: usage errors and --help
+        return exc.code if isinstance(exc.code, int) else 2
     # NotPositiveDefiniteError is a ValueError, so numeric failures go first
     except (AccuracyError, EstimationError, InternalConsistencyError,
             NotPositiveDefiniteError, FloatingPointError) as exc:

@@ -40,18 +40,8 @@ from .toeplitz import (durbin_levinson, empirical_autocov,
 
 # relative accuracy certified by truncation_excess
 _TRUNC_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Decomposed mean-squared prediction-error quantities for (model, k)."""
-
-    model: LongMemoryModel
-    k: int
-    trunc_excess: float
-    ark_excess: float
-    decomposition: dict
-    ratio: float
+# agreement of ark_excess's Levinson v(k) with its quadratic form, in sigma(0)
+_ARK_CHECK_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -135,7 +125,7 @@ def truncation_excess(model, k):
     return model.sigma2_eps * value
 
 
-def ark_excess(model, k, _check_rtol=1e-8):
+def ark_excess(model, k):
     """v(k) - sigma_eps^2 from Durbin-Levinson on the exact autocovariances,
     cross-checked against the explicit quadratic form."""
     if k < 1:
@@ -143,7 +133,7 @@ def ark_excess(model, k, _check_rtol=1e-8):
     acov = exact_autocov(model, k)
     model_k = durbin_levinson(acov, k)
     quad_v = innovation_variance_quadratic_form(acov, model_k)
-    if abs(quad_v - model_k.v) > _check_rtol * acov.values[0]:
+    if abs(quad_v - model_k.v) > _ARK_CHECK_RTOL * acov.values[0]:
         raise InternalConsistencyError(
             f"v(k) recursion {model_k.v!r} disagrees with quadratic form "
             f"{quad_v!r}"
@@ -188,14 +178,12 @@ def excess_decomposition(d, k, sigma2_eps=1.0):
     a = ar_inf_coeffs(model, k).values
     ak = np.concatenate([[1.0], fi_ark_closed_form(d, k).phi * -1.0])
     acov = exact_autocov(model, k)
-    sig = acov.values
 
     delta = ak[1:] - a[1:]
     term1 = float(delta @ acov.toeplitz(k) @ delta)
 
     # u(j) = sum_{l>k} a_l sigma(j-l) = sigma2 1{j=0} - sum_{l<=k} a_l sigma(j-l)
-    idx = np.abs(np.subtract.outer(np.arange(k + 1), np.arange(k + 1)))
-    u = -(sig[idx] @ a)
+    u = -(acov.toeplitz(k + 1) @ a)
     u[0] += sigma2_eps
 
     term2 = float(-2.0 * np.dot(delta, u[1:]))
@@ -209,7 +197,8 @@ def r_of_k(d, k):
 
     Computed two independent ways: from the closed-form decomposition
     (term1/term3) and as (trunc - ark)/trunc from the excess routines; the
-    two must agree to 1e-6 relative.
+    two must agree to 1e-6 relative.  The closed form is returned because
+    the direct ratio cancels at small d.
     """
     dec = excess_decomposition(d, k)
     r_closed = dec["term1"] / dec["term3"]
@@ -223,22 +212,6 @@ def r_of_k(d, k):
             f"direct {r_direct!r}"
         )
     return r_closed
-
-
-def fi_risk_report(d, k, sigma2_eps=1.0):
-    """Assembled RiskReport for fractional noise."""
-    model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
-    trunc = truncation_excess(model, k)
-    ark = ark_excess(model, k)
-    dec = excess_decomposition(d, k, sigma2_eps=sigma2_eps)
-    return RiskReport(
-        model=model,
-        k=k,
-        trunc_excess=trunc,
-        ark_excess=ark,
-        decomposition=dec,
-        ratio=(trunc - ark) / trunc,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +255,12 @@ def compute_H(model, model_k):
 
 
 def h_sandwich(model, model_k):
-    """Sigma_k^{-1} H Sigma_k^{-1} via Toeplitz solves."""
+    """Sigma_k^{-1} H Sigma_k^{-1} by two Toeplitz solves with k columns."""
     k = model_k.k
     H = compute_H(model, model_k)
     acov = exact_autocov(model, k)
-    half = np.column_stack([toeplitz_solve(acov, H[:, j], k) for j in range(k)])
-    M = np.column_stack([toeplitz_solve(acov, half.T[:, j], k) for j in range(k)])
+    half = toeplitz_solve(acov, H, k)
+    M = toeplitz_solve(acov, half.T, k)
     return 0.5 * (M + M.T)
 
 

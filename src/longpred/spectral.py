@@ -48,7 +48,6 @@ class Periodogram:
     freqs: np.ndarray
     values: np.ndarray
     T: int
-    demeaned: bool = True
 
 
 @dataclass(frozen=True)

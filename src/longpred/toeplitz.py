@@ -139,10 +139,12 @@ def fi_ark_closed_form(d, k, sigma2_eps=1.0):
 
 
 def toeplitz_solve(acov, rhs, k, rtol=1e-8):
-    """Solve Sigma_k x = rhs for the k x k Toeplitz covariance matrix.
+    """Solve Sigma_k x = rhs for the k x k Toeplitz covariance matrix;
+    ``rhs`` may be a (k,) vector or a (k, m) matrix of m right-hand sides.
 
     Dense Cholesky at desk scale with one step of iterative refinement;
-    the residual must satisfy ||Sigma x - rhs||_inf <= rtol ||rhs||_inf.
+    the residual must satisfy max|Sigma x - rhs| <= rtol max|rhs|, both
+    maxima over all entries.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != k:

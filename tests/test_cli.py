@@ -1,11 +1,15 @@
+import importlib.util
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 import longpred as lp
-from longpred.cli import main, read_artifact
+from longpred.cli import _config_hash, _parse, main, read_artifact
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(args):
@@ -59,6 +63,14 @@ def test_ratio_curve_values(tmp_path):
     assert len(rows) == 1
     assert rows[0]["k"] == 30 and rows[0]["d"] == 0.35
     np.testing.assert_allclose(rows[0]["r"], lp.r_of_k(0.35, 30), rtol=1e-9)
+
+
+def test_ratio_curve_writes_r_of_k(tmp_path):
+    # the direct ratio (trunc - ark) / trunc cancels at small d
+    out = tmp_path / "ratio.csv"
+    assert run(["ratio-curve", "--d", "0.05", "--k", "200", "--out", out]) == 0
+    _, rows = read_artifact(out)
+    assert rows[0]["r"] == lp.r_of_k(0.05, 200)
 
 
 def test_trunc_rate_slope_column(tmp_path):
@@ -187,6 +199,33 @@ def test_fit_json_output(tmp_path, capsys):
     assert (payload["d_hat"], payload["at_bound"]) == (0.05, "upper")
 
 
+def test_fit_reads_simulate_artifact(tmp_path, capsys):
+    model = lp.LongMemoryModel.fi(0.3)
+    outdir = tmp_path / "paths"
+    assert run(["simulate", "--model", lp.model_to_json(model), "--n", 512,
+                "--seed", 5, "--out", outdir]) == 0
+    assert run(["fit", "--sample", outdir / "rep_0000.csv"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    path = lp.gaussian_paths(lp.exact_autocov(model, 511), 512, 1, seed=5,
+                             stream=(5,))[0]
+    assert payload["d_hat"] == lp.whittle_fit(path).d_hat
+
+
+def test_sample_csv_needs_value_column_and_rows(tmp_path):
+    no_column, no_rows = tmp_path / "x.csv", tmp_path / "e.csv"
+    no_column.write_text("# seed: 0\nx\n1.0\n")
+    no_rows.write_text("# seed: 0\nvalue\n")
+    assert run(["fit", "--sample", no_column]) == 2
+    assert run(["fit", "--sample", no_rows]) == 2
+
+
+def test_simulate_reps_must_be_positive(tmp_path):
+    assert run(["simulate", "--model",
+                lp.model_to_json(lp.LongMemoryModel.fi(0.2)), "--reps", 0,
+                "--out", tmp_path / "p"]) == 2
+    assert not (tmp_path / "p").exists()
+
+
 def test_total_error_schema(tmp_path):
     out = tmp_path / "total.csv"
     assert run(["total-error", "--d", 0.2, "--k-grid", "4,8",
@@ -214,6 +253,46 @@ def test_config_file_with_flag_override(tmp_path):
     assert meta["seed"] == "9"  # file fills the rest
     np.testing.assert_allclose(rows[0]["d"], 0.1)
     np.testing.assert_allclose(rows[-1]["d"], 0.2)
+
+
+def test_config_strings_are_parsed_by_flag_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": "0.1"}))
+    args = ["coeffcov-mc", "--k", 2, "--t-grid", "256,512", "--reps", 50,
+            "--seed", 1]
+    from_file, from_flag = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(args + ["--config", cfg, "--out", from_file]) == 0
+    assert run(args + ["--d", 0.1, "--out", from_flag]) == 0
+    assert from_file.read_bytes() == from_flag.read_bytes()
+
+
+def test_config_must_be_an_object(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run(["cd-curve", "--config", cfg, "--out", tmp_path / "o.csv"]) == 2
+
+
+@pytest.mark.parametrize("script,count", [
+    ("reproduce_curves", 2), ("run_rate_checks", 2), ("run_mc_suite", 7)])
+def test_script_config_hashes_match_committed_artifacts(script, count,
+                                                        monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        script, ROOT / "scripts" / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    seen = []
+
+    def parse_only(argv):
+        args, config = _parse(argv)
+        seen.append((args.out, _config_hash(config)))
+        return 0
+
+    monkeypatch.setattr(module, "main", parse_only)
+    assert module.run() == 0
+    assert len(seen) == count
+    for out, digest in seen:
+        meta, _ = read_artifact(out)
+        assert meta["config-hash"] == digest, out
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

@@ -277,18 +277,6 @@ def test_ratio_in_unit_interval():
         assert 0.0 <= r < 1.0
 
 
-def test_risk_report_assembles():
-    report = lp.fi_risk_report(0.3, 20)
-    assert report.k == 20
-    assert 0 <= report.ark_excess <= report.trunc_excess
-    terms = report.decomposition
-    np.testing.assert_allclose(terms["term1"] + terms["term2"]
-                               + terms["term3"], report.ark_excess, rtol=1e-8)
-    np.testing.assert_allclose(report.ratio,
-                               (report.trunc_excess - report.ark_excess)
-                               / report.trunc_excess, rtol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # H matrix and coefficient-covariance asymptotics
 

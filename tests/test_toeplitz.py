@@ -220,6 +220,16 @@ def test_solve_reproduces_yule_walker():
     np.testing.assert_allclose(x, model_k.phi, atol=1e-9)
 
 
+@pytest.mark.parametrize("d,k", [(0.1, 2), (0.1, 3), (0.2, 8), (0.05, 16)])
+def test_solve_matrix_rhs_matches_column_solves(d, k):
+    model = lp.LongMemoryModel.fi(d)
+    acov = lp.exact_autocov(model, k)
+    rhs = lp.compute_H(model, lp.durbin_levinson(acov, k))
+    columns = np.column_stack([lp.toeplitz_solve(acov, rhs[:, j], k)
+                               for j in range(k)])
+    assert np.array_equal(lp.toeplitz_solve(acov, rhs, k), columns)
+
+
 def test_solve_rejects_indefinite():
     acov = AutocovSeq(values=np.array([1.0, 0.95, 0.2, 0.1]),
                       source="empirical")
