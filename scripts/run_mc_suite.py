@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The full Monte Carlo suite at deskside settings (about 40 s).
+"""The full Monte Carlo suite at deskside settings (about 15 s on 2 cores).
 
 Artifacts in out/:
 * estimation_error.csv - wk-plugin vs exact predictor MSE over T (slope -1)

@@ -21,7 +21,7 @@ from .risk import (SlopeReport, ark_excess, c_of_d, coeffcov_scaling,
                    h_covariance_check, r_of_k, truncation_excess,
                    wk_plugin_scaling)
 from .series import SamplePath
-from .simulate import SimulationPlan, gaussian_paths, gaussian_sample
+from .simulate import gaussian_paths
 from .spectral import (Periodogram, WhittleFit, periodogram,
                        periodogram_ordinate, whittle_fit, whittle_objective,
                        whittle_profiled_sigma2)
@@ -32,13 +32,13 @@ __all__ = [
     "AccuracyError", "ArkModel", "AutocovSeq", "CoeffSeq", "DomainError",
     "EstimationError", "Forecast", "InternalConsistencyError",
     "LongMemoryModel", "NotPositiveDefiniteError", "Periodogram",
-    "SamplePath", "SimulationPlan", "SlopeReport",
+    "SamplePath", "SlopeReport",
     "StatisticalPowerError", "WhittleFit", "ar_inf_coeffs",
     "ark_excess", "ark_plugin_predict", "ark_predict", "c_of_d",
     "coeffcov_scaling", "compute_H", "covmoment_scaling", "durbin_levinson",
     "empirical_autocov", "exact_autocov", "excess_decomposition",
     "fi_ark_closed_form", "gaussian_paths",
-    "gaussian_sample", "h_covariance_check", "ma_inf_coeffs",
+    "h_covariance_check", "ma_inf_coeffs",
     "model_from_json", "model_to_json", "periodogram",
     "periodogram_ordinate", "r_of_k", "spectral_density", "toeplitz_solve",
     "truncation_excess", "whittle_fit", "whittle_objective",

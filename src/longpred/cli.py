@@ -138,6 +138,9 @@ def _read_values(path, flag):
         values = [row["value"] for row in rows]
     except KeyError:
         raise UsageError(f"{path}: no 'value' column") from None
+    reps = len({row.get("rep") for row in rows})
+    if reps > 1:
+        raise UsageError(f"{path}: {reps} replicates in its 'rep' column")
     return SamplePath(values=values)
 
 
@@ -405,17 +408,30 @@ def _build_parser():
     return parser, sub
 
 
+def _config_type_ok(action, value):
+    """Whether a ``--config`` value fits its flag as it is: argparse runs
+    only string values through the flag's ``type``, and none for a switch."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return isinstance(value, bool)
+    if isinstance(value, str):
+        return True
+    kinds = {int: int, float: (int, float)}.get(action.type, ())
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _parse(argv):
     """Parsed arguments and the config dict that the artifact header hashes.
 
     A ``--config`` file becomes the subcommand's defaults before a second
     parse, so an explicit flag beats the file and the file beats the
-    built-in default; string values go through the flag's type.
+    built-in default; string values go through the flag's type, and any
+    other value must already have it.
     """
     parser, sub = _build_parser()
     args = parser.parse_args(argv)
     subparser = sub.choices[args.command]
-    flags = {a.dest for a in subparser._actions} - {"help", "config"}
+    actions = {a.dest: a for a in subparser._actions}
+    flags = set(actions) - {"help", "config"}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
@@ -425,6 +441,10 @@ def _parse(argv):
         if unknown:
             raise UsageError(f"unknown --config key(s) for {args.command}: "
                              f"{', '.join(unknown)}")
+        for key, value in file_cfg.items():
+            if not _config_type_ok(actions[key], value):
+                raise UsageError(f"--config {key}: {json.dumps(value)} does "
+                                 "not fit the flag's type")
         subparser.set_defaults(**file_cfg)
         args = parser.parse_args(argv)
     if "out" in flags and not args.out:

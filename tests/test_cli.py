@@ -219,6 +219,22 @@ def test_sample_csv_needs_value_column_and_rows(tmp_path):
     assert run(["fit", "--sample", no_rows]) == 2
 
 
+def test_multi_replicate_sample_csv_is_usage_error(tmp_path, capsys):
+    model = lp.model_to_json(lp.LongMemoryModel.fi(0.3))
+    one, two = tmp_path / "one", tmp_path / "two"
+    for outdir, reps in ((one, 1), (two, 2)):
+        assert run(["simulate", "--model", model, "--n", 256, "--reps", reps,
+                    "--seed", 5, "--out", outdir, "--single-file"]) == 0
+    assert run(["fit", "--sample", one / "paths.csv"]) == 0
+    capsys.readouterr()
+    assert run(["fit", "--sample", two / "paths.csv"]) == 2
+    assert "2 replicates" in capsys.readouterr().err
+    assert run(["predict", "--method", "ark-plugin", "--k", 2,
+                "--train", one / "paths.csv",
+                "--window", two / "paths.csv"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_reps_must_be_positive(tmp_path):
     assert run(["simulate", "--model",
                 lp.model_to_json(lp.LongMemoryModel.fi(0.2)), "--reps", 0,
@@ -264,6 +280,34 @@ def test_config_strings_are_parsed_by_flag_type(tmp_path):
     assert run(args + ["--config", cfg, "--out", from_file]) == 0
     assert run(args + ["--d", 0.1, "--out", from_flag]) == 0
     assert from_file.read_bytes() == from_flag.read_bytes()
+
+
+@pytest.mark.parametrize("command, config", [
+    (["covmoment-mc"], {"reps": None}),
+    (["cd-curve"], {"steps": 2.5}),
+    (["cd-curve"], {"steps": True}),
+    (["cd-curve"], {"d_min": False}),
+    (["ratio-curve"], {"k": [10, 20]}),
+    (["simulate", "--model", '{"kind": "fi", "d": 0.3}'], {"single_file": 1}),
+])
+def test_config_value_of_wrong_json_type_exits_2(tmp_path, capsys, command,
+                                                  config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    assert run(command + ["--config", cfg, "--out", out]) == 2
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_numbers_keep_their_hash(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_max": 0.4, "steps": 3, "seed": 2}))
+    args, config = _parse(["cd-curve", "--config", str(cfg), "--out", "x"])
+    assert (args.d_max, args.steps, args.seed) == (0.4, 3, 2)
+    assert _config_hash(config) == _config_hash(
+        _parse(["cd-curve", "--d-max", "0.4", "--steps", "3", "--seed", "2",
+                "--out", "x"])[1])
 
 
 def test_config_must_be_an_object(tmp_path):

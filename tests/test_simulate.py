@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import longpred as lp
+from longpred.rng import derive_rng, normals
 from longpred.simulate import EIG_TOL_FACTOR, circulant_eigenvalues
 
+from circulant_oracle import circulant_paths_inline
 from levinson_oracle import innovations_paths_inline
 
 
@@ -14,18 +16,20 @@ def fi_acov(d, m, sigma2=1.0):
 
 
 def test_fixed_seed_reproducible():
-    plan = lp.SimulationPlan(acov=fi_acov(0.3, 255), n=256, seed=12345)
-    p1 = lp.gaussian_sample(plan)
-    p2 = lp.gaussian_sample(plan)
+    acov = fi_acov(0.3, 255)
+    p1 = lp.gaussian_paths(acov, 256, 1, seed=12345)[0]
+    p2 = lp.gaussian_paths(acov, 256, 1, seed=12345)[0]
     np.testing.assert_array_equal(p1.values, p2.values)
     assert p1.sim_method == "circulant"
     assert p1.seed == (12345, 0)
 
 
 def test_batch_matches_individual_streams():
+    # 15/16 and 39 sit on either side of a block boundary and in the last,
+    # partial block of the circulant sampler
     acov = fi_acov(0.25, 63)
-    batch = lp.gaussian_paths(acov, 64, 4, seed=9, stream=(2,))
-    for r in (0, 3):
+    batch = lp.gaussian_paths(acov, 64, 40, seed=9, stream=(2,))
+    for r in (0, 15, 16, 39):
         single = lp.gaussian_paths(acov, 64, r + 1, seed=9, stream=(2,))[r]
         np.testing.assert_array_equal(batch[r].values, single.values)
 
@@ -127,6 +131,45 @@ def test_innovations_paths_match_the_inline_recursion(d, n, reps):
         x, innovations_paths_inline(acov, n, reps, 2024, stream=(7,)))
 
 
+@pytest.mark.parametrize("method", ["auto", "circulant"])
+def test_length_one_path_is_one_scaled_variate(method):
+    # a length-1 path forms no embedding: the innovations sampler draws
+    # the single variate of replicate 0's stream
+    acov = fi_acov(0.3, 0, sigma2=4.0)
+    path = lp.gaussian_paths(acov, 1, 1, seed=17, method=method)[0]
+    expected = np.sqrt(acov.values[0]) * normals(derive_rng(17, 0), 1)
+    assert np.array_equal(path.values, expected)
+    assert path.sim_method == "innovations"
+
+
+@pytest.mark.parametrize("d, n, reps", [(0.3, 2, 5), (0.45, 3, 7),
+                                         (0.1, 8192, 20), (0.4, 32768, 4),
+                                         (0.25, 64, 37)])
+def test_circulant_paths_match_the_full_complex_embedding(d, n, reps):
+    # the half-spectrum real transform, in blocks, against the whole
+    # Hermitian vector under one complex FFT; 37 replicates cross two block
+    # boundaries
+    acov = fi_acov(d, n - 1)
+    paths = lp.gaussian_paths(acov, n, reps, 2024, stream=(7,),
+                              method="circulant")
+    x = np.array([p.values for p in paths])
+    oracle = circulant_paths_inline(acov, n, reps, 2024, stream=(7,))
+    assert np.max(np.abs(x - oracle)) <= 1e-13 * np.sqrt(acov.values[0])
+
+
+def test_circulant_sampler_memory_is_the_paths_plus_a_block():
+    # a (reps, 2(n-1)) complex array alone would be 4x the bytes of the paths
+    acov = fi_acov(0.4, 32767)
+    tracemalloc.start()
+    try:
+        paths = lp.gaussian_paths(acov, 32768, 400, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths[0].sim_method == "circulant"
+    assert peak < 2 * 400 * 32768 * 8
+
+
 def test_path_lengths_one_and_two():
     acov = fi_acov(0.3, 4, sigma2=4.0)
     sigma0 = acov.values[0]
@@ -142,8 +185,6 @@ def test_path_lengths_one_and_two():
 def test_plan_validation():
     acov = fi_acov(0.3, 10)
     with pytest.raises(ValueError):
-        lp.SimulationPlan(acov=acov, n=0, seed=1)
-    with pytest.raises(ValueError):
-        lp.SimulationPlan(acov=acov, n=12, seed=1)
+        lp.gaussian_paths(acov, 0, 1, seed=1)
     with pytest.raises(ValueError):
         lp.gaussian_paths(acov, 12, 1, seed=1)
