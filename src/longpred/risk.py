@@ -34,13 +34,13 @@ from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
                         ar_inf_coeffs, exact_autocov)
 from .simulate import gaussian_paths
 from .spectral import whittle_fit
-from .toeplitz import (durbin_levinson, empirical_autocov,
-                       fi_ark_closed_form, innovation_variance_quadratic_form,
-                       toeplitz_solve)
+from .toeplitz import (_fi_log_innovation, durbin_levinson,
+                       empirical_autocov, fi_ark_closed_form,
+                       innovation_variance_quadratic_form, toeplitz_solve)
 
-# relative accuracy certified by truncation_excess
-_TRUNC_RTOL = 1e-9
-# agreement of ark_excess's Levinson v(k) with its quadratic form, in sigma(0)
+# relative accuracy certified by truncation_excess and, for FI, ark_excess
+_TRUNC_RTOL = _ARK_RTOL = 1e-9
+# agreement of ark_excess's v(k) with its quadratic form, in sigma(0)
 _ARK_CHECK_RTOL = 1e-8
 
 
@@ -126,19 +126,39 @@ def truncation_excess(model, k):
 
 
 def ark_excess(model, k):
-    """v(k) - sigma_eps^2 from Durbin-Levinson on the exact autocovariances,
-    cross-checked against the explicit quadratic form."""
+    """v(k) - sigma_eps^2 of the order-k Yule-Walker predictor, cross-checked
+    against the quadratic form of its coefficients.
+
+    For fractional noise v(k)/sigma2 = exp(L) with L the closed-form sum of
+    ``toeplitz._fi_log_innovation``, and the excess is sigma2 expm1(L), so
+    nothing of the size of sigma(0) cancels.  Its round-off bound, the error
+    of L through the slope exp(L) plus one rounding each of expm1 and the
+    scaling, must stay below 1e-9 relative, or AccuracyError is raised
+    before the O(k^2) cross-check.  FARIMA models run Durbin-Levinson on the
+    exact autocovariances.
+    """
     if k < 1:
         raise ValueError("order k must be >= 1")
     acov = exact_autocov(model, k)
-    model_k = durbin_levinson(acov, k)
+    if model.is_pure_fractional:
+        _, log_v, log_err = _fi_log_innovation(model.d, k)
+        value = math.expm1(log_v)
+        err = log_err * math.exp(log_v) + 1.5 * _EPS * abs(value)
+        if err > _ARK_RTOL * abs(value):
+            raise AccuracyError(
+                f"AR(k) excess not certified to rtol={_ARK_RTOL:g}",
+                achieved=err / abs(value))
+        model_k = fi_ark_closed_form(model.d, k, model.sigma2_eps)
+        value *= model.sigma2_eps
+    else:
+        model_k = durbin_levinson(acov, k)
+        value = model_k.v - model.sigma2_eps
     quad_v = innovation_variance_quadratic_form(acov, model_k)
     if abs(quad_v - model_k.v) > _ARK_CHECK_RTOL * acov.values[0]:
         raise InternalConsistencyError(
-            f"v(k) recursion {model_k.v!r} disagrees with quadratic form "
-            f"{quad_v!r}"
+            f"v(k) {model_k.v!r} disagrees with quadratic form {quad_v!r}"
         )
-    return model_k.v - model.sigma2_eps
+    return value
 
 
 def c_of_d(d):

@@ -70,14 +70,15 @@ def _circulant_paths(sqrt_eig, n, z):
 def _innovations_paths(acov, n, z):
     """Map a (reps, n) block of standard normals to exact paths, one time
     step at a time: x_t is the order-t Durbin-Levinson forecast from
-    x_0..x_{t-1} plus the innovation sd times z_t.  The coefficients are
-    updated in place, so the memory beyond the paths is O(n)."""
-    x = np.empty((z.shape[0], n))
-    x[:, 0] = np.sqrt(acov.values[0]) * z[:, 0]
+    x_0..x_{t-1} plus the innovation sd times z_t.  Step t reads z_t only to
+    write x_t, so the paths overwrite the normals and are returned in their
+    array; the coefficients are updated in place, so the memory beyond it
+    is O(n)."""
+    z[:, 0] *= np.sqrt(acov.values[0])
     for t, phi, v in _levinson_steps(acov.values, n - 1):
-        pred = x[:, t - 1 :: -1][:, :t] @ phi
-        x[:, t] = pred + np.sqrt(v) * z[:, t]
-    return x
+        pred = z[:, t - 1 :: -1][:, :t] @ phi
+        z[:, t] = pred + np.sqrt(v) * z[:, t]
+    return z
 
 
 def gaussian_paths(acov, n, reps, seed, stream=(), method="auto"):

@@ -10,6 +10,7 @@ order-k coefficients are converted at this module's boundary via
 phi_j = -a_{j,k}.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, NotPositiveDefiniteError
-from .fraccoeff import AutocovSeq, LongMemoryModel, _log_abs_gamma_neg, exact_autocov
+from .fraccoeff import AutocovSeq, _EPS, _fi_delta, _log_abs_gamma_neg
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,31 @@ def empirical_autocov(sample, maxlag, demean=False):
     return AutocovSeq(values=out, source="empirical", model=None)
 
 
+def _fi_log_innovation(d, k):
+    """Partial autocorrelations of FI(d) at orders 1..k, L = log(v(k)/sigma2)
+    and a bound on the absolute error of L.
+
+    The partials are d/(t - d) (Hosking 1981, Biometrika), so
+    v(k) = sigma(0) prod_t (1 - partials_t^2) and
+    L = log1p(delta) + sum_t log1p(-partials_t^2), delta = sigma(0)/sigma2 - 1.
+    The bound charges each term the five roundings of its square (t - d,
+    the quotient, the product) through the slope 1/(1 - x) of log1p(-x) and
+    two units of log1p's own error, the error of delta, and one rounding
+    each of the exactly rounded sum and the final addition.
+    """
+    partials = d / (np.arange(1, k + 1, dtype=float) - d)
+    x = partials * partials
+    terms = np.log1p(-x)
+    delta, delta_err = _fi_delta(d)
+    head, tail = math.log1p(delta), math.fsum(terms)
+    log_v = head + tail
+    err = (2.5 * _EPS * float(np.sum(x / (1.0 - x)))
+           + _EPS * (2.0 * float(-np.sum(terms)) + 2.0 * abs(head)
+                     + 0.5 * (abs(tail) + abs(log_v)))
+           + delta_err / (1.0 + delta))
+    return partials, log_v, err
+
+
 def fi_ark_closed_form(d, k, sigma2_eps=1.0):
     """Order-k Yule-Walker predictor for fractional noise in closed form.
 
@@ -115,8 +141,9 @@ def fi_ark_closed_form(d, k, sigma2_eps=1.0):
     a_{j,k} = Gamma(k+1) Gamma(j-d) Gamma(k-d-j+1)
               / (Gamma(k-j+1) Gamma(j+1) Gamma(-d) Gamma(k-d+1)),
     all negative; the returned predictor weights are phi_j = -a_{j,k}.
-    Innovation variance and partials come from one Durbin-Levinson pass on
-    the exact autocovariances.
+    The partials d/(t - d) and the innovation variance
+    v(k) = sigma2 exp(log1p(delta) + sum_t log1p(-partials_t^2)) are closed
+    forms too, so no Durbin-Levinson recursion runs: O(k) work.
     """
     if not (0.0 < d < 0.5):
         raise DomainError(f"d={d} outside ]0, 1/2[")
@@ -133,9 +160,9 @@ def fi_ark_closed_form(d, k, sigma2_eps=1.0):
         - gammaln(k - d + 1.0)
     )
     phi = np.exp(log_mag)  # = -a_{j,k} > 0
-    model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
-    ref = durbin_levinson(exact_autocov(model, k), k)
-    return ArkModel(k=k, phi=phi, v=ref.v, partials=ref.partials)
+    partials, log_v, _ = _fi_log_innovation(d, k)
+    return ArkModel(k=k, phi=phi, v=sigma2_eps * math.exp(log_v),
+                    partials=partials)
 
 
 def toeplitz_solve(acov, rhs, k, rtol=1e-8):

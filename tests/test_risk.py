@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -151,7 +152,8 @@ def test_ark_never_exceeds_truncation():
 
 
 def test_ark_excess_cross_check_catches_a_wrong_recursion(monkeypatch):
-    # a Levinson v off by 1e-6 sigma(0) is 100 times the 1e-8 check
+    # a Levinson v off by 1e-6 sigma(0) is 100 times the 1e-8 check; FARIMA
+    # models still take the recursion
     def shifted(acov, k):
         model_k = lp.durbin_levinson(acov, k)
         return dataclasses.replace(model_k,
@@ -159,7 +161,53 @@ def test_ark_excess_cross_check_catches_a_wrong_recursion(monkeypatch):
 
     monkeypatch.setattr("longpred.risk.durbin_levinson", shifted)
     with pytest.raises(InternalConsistencyError):
+        lp.ark_excess(lp.LongMemoryModel.farima(0.3, ar=(0.5,)), 50)
+
+
+def test_ark_excess_cross_check_catches_a_wrong_closed_form(monkeypatch):
+    # fractional noise takes the closed form; its v shifted by 1e-6 sigma(0)
+    # must disagree with the quadratic form of its coefficients
+    def shifted(d, k, sigma2_eps=1.0):
+        model_k = lp.fi_ark_closed_form(d, k, sigma2_eps)
+        sigma0 = lp.exact_autocov(lp.LongMemoryModel.fi(d, sigma2_eps),
+                                  0).values[0]
+        return dataclasses.replace(model_k, v=model_k.v + 1e-6 * sigma0)
+
+    monkeypatch.setattr("longpred.risk.fi_ark_closed_form", shifted)
+    with pytest.raises(InternalConsistencyError):
         lp.ark_excess(lp.LongMemoryModel.fi(0.3), 50)
+
+
+def ark_excess_mpmath(d, k):
+    """Gamma(k+1) Gamma(k+1-2d) / Gamma(k+1-d)^2 - 1 at 40 digits."""
+    with mpmath.workdps(40):
+        d = mpmath.mpf(d)
+        return float(mpmath.exp(mpmath.loggamma(k + 1)
+                                + mpmath.loggamma(k + 1 - 2 * d)
+                                - 2 * mpmath.loggamma(k + 1 - d)) - 1)
+
+
+@pytest.mark.parametrize("k", [1, 100, 1600, 6400])
+@pytest.mark.parametrize("d", [1e-4, 0.01, 0.1, 0.3, 0.49])
+def test_ark_excess_matches_mpmath(d, k):
+    # sigma2 expm1(L) is certified to 1e-9; v(k) - sigma2 after a
+    # recursion cancels, by 1.4e-2 relative at (1e-4, 1600)
+    value = lp.ark_excess(lp.LongMemoryModel.fi(d, sigma2_eps=2.0), k)
+    np.testing.assert_allclose(value, 2.0 * ark_excess_mpmath(d, k),
+                               rtol=1e-9)
+
+
+def test_ark_excess_refuses_an_uncertified_order(monkeypatch):
+    # at d = 0.49 the bound grows like k: 6.5e-10 at k = 6400, 1.02e-9 at
+    # k = 10000.  The refusal comes before the O(k^2) cross-check.
+    def no_quadratic_form(acov, model_k):
+        raise AssertionError("O(k^2) cross-check ran")
+
+    monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
+                        no_quadratic_form)
+    with pytest.raises(AccuracyError) as exc:
+        lp.ark_excess(lp.LongMemoryModel.fi(0.49), 10000)
+    assert 1e-9 < exc.value.achieved < 2e-9
 
 
 def test_k_times_ark_excess_converges_to_d_squared():

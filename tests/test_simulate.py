@@ -119,6 +119,18 @@ def test_innovations_sampler_memory_is_linear_in_n():
     assert peak < 8e6
 
 
+def test_innovations_paths_overwrite_their_normals():
+    # normals beside the paths would trace twice the bytes of the paths
+    acov = fi_acov(0.3, 4095)
+    tracemalloc.start()
+    try:
+        lp.gaussian_paths(acov, 4096, 100, 1, method="innovations")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 100 * 4096 * 8
+
+
 @pytest.mark.parametrize("d, n, reps", [(0.3, 2048, 4), (0.3, 512, 8),
                                          (0.45, 64, 16), (0.1, 2, 3)])
 def test_innovations_paths_match_the_inline_recursion(d, n, reps):

@@ -195,6 +195,18 @@ def test_closed_form_approaches_ar_infinity():
     assert np.all(np.diff(gaps) < 0)
 
 
+@pytest.mark.parametrize("k", [1, 50, 400, 1600])
+@pytest.mark.parametrize("d", [1e-4, 0.1, 0.3, 0.49])
+def test_closed_form_partials_and_v_match_the_recursion(d, k):
+    # the partials d/(t - d) and v(k) come without the recursion
+    model = lp.LongMemoryModel.fi(d, sigma2_eps=1.5)
+    by_recursion = lp.durbin_levinson(lp.exact_autocov(model, k), k)
+    closed = lp.fi_ark_closed_form(d, k, sigma2_eps=1.5)
+    np.testing.assert_allclose(closed.partials, by_recursion.partials,
+                               rtol=1e-10)
+    np.testing.assert_allclose(closed.v, by_recursion.v, rtol=1e-12)
+
+
 def test_closed_form_domain():
     with pytest.raises(lp.DomainError):
         lp.fi_ark_closed_form(0.6, 5)
