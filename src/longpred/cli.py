@@ -26,7 +26,7 @@ from .fraccoeff import (LongMemoryModel, ar_inf_coeffs, exact_autocov,
 from .predictor import (ark_plugin_predict, ark_predict, wk_plugin_predict,
                         wk_truncated_predict)
 from .series import SamplePath
-from .simulate import gaussian_paths
+from .simulate import path_blocks
 from .spectral import whittle_fit
 from .toeplitz import durbin_levinson
 from .risk import (ark_excess, c_of_d, coeffcov_scaling, covmoment_scaling,
@@ -51,20 +51,22 @@ def _config_hash(config):
 
 
 def write_artifact(path, columns, rows, seed, config):
-    """Atomically write a CSV artifact with a reproducibility header."""
-    lines = [
-        f"# longpred-version: {__version__}\n",
-        f"# seed: {seed}\n",
-        f"# config-hash: {_config_hash(config)}\n",
-        ",".join(columns) + "\n",
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row) + "\n")
+    """Atomically write a CSV artifact with a reproducibility header.
+
+    ``rows`` may be any iterable; each row is written as it comes, so a
+    generator is never held whole.
+    """
+    header = (f"# longpred-version: {__version__}\n"
+              f"# seed: {seed}\n"
+              f"# config-hash: {_config_hash(config)}\n"
+              + ",".join(columns) + "\n")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.writelines(lines)
+            fh.write(header)
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -215,11 +217,12 @@ def _cmd_covmoment_mc(args, config):
 def _cmd_whittle_mc(args, config):
     model = LongMemoryModel.fi(args.d)
     acov = exact_autocov(model, args.t - 1)
-    paths = gaussian_paths(acov, args.t, args.reps, args.seed, stream=(4,))
     rows = []
-    for rep, path in enumerate(paths):
-        fit = whittle_fit(path)
-        rows.append((rep, fit.d_hat, fit.sigma2_hat))
+    for start, block in path_blocks(acov, args.t, args.reps, args.seed,
+                                    stream=(4,)):
+        for rep, x in enumerate(block, start):
+            fit = whittle_fit(SamplePath(values=x))
+            rows.append((rep, fit.d_hat, fit.sigma2_hat))
     write_artifact(args.out, ["rep", "d_hat", "sigma2_hat"], rows, args.seed,
                    config)
     return 0
@@ -230,21 +233,21 @@ def _cmd_simulate(args, config):
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     acov = exact_autocov(model, args.n - 1)
-    paths = gaussian_paths(acov, args.n, args.reps, args.seed, stream=(5,))
+    blocks = path_blocks(acov, args.n, args.reps, args.seed, stream=(5,))
     os.makedirs(args.out, exist_ok=True)
     if args.single_file:
-        rows = [
-            (rep, t, x)
-            for rep, path in enumerate(paths)
-            for t, x in enumerate(path.values)
-        ]
+        rows = ((rep, t, x)
+                for start, block in blocks
+                for rep, path in enumerate(block, start)
+                for t, x in enumerate(path))
         write_artifact(os.path.join(args.out, "paths.csv"),
                        ["rep", "t", "value"], rows, args.seed, config)
     else:
-        for rep, path in enumerate(paths):
-            rows = [(t, x) for t, x in enumerate(path.values)]
-            write_artifact(os.path.join(args.out, f"rep_{rep:04d}.csv"),
-                           ["t", "value"], rows, args.seed, config)
+        for start, block in blocks:
+            for rep, path in enumerate(block, start):
+                write_artifact(os.path.join(args.out, f"rep_{rep:04d}.csv"),
+                               ["t", "value"], enumerate(path), args.seed,
+                               config)
     return 0
 
 

@@ -32,7 +32,8 @@ from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
                         _arma_polys, _farima_autocov, _fi_acf, _fi_ar_values,
                         _fi_delta, _log_abs_gamma_neg, _roundoff,
                         ar_inf_coeffs, exact_autocov)
-from .simulate import gaussian_paths
+from .series import SamplePath
+from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
 from .toeplitz import (_fi_log_innovation, durbin_levinson,
                        empirical_autocov, fi_ark_closed_form,
@@ -295,9 +296,10 @@ def h_covariance_check(d, k, T, reps, seed):
     acov_T = exact_autocov(model, T)
     exact_k = durbin_levinson(acov_T, k)
     M = h_sandwich(model, exact_k)
-    paths = gaussian_paths(acov_T, T, reps, seed, stream=(9,))
-    diffs = np.asarray([_yule_walker_phi(path, k) - exact_k.phi
-                        for path in paths])
+    diffs = np.asarray([
+        _yule_walker_phi(SamplePath(values=x), k) - exact_k.phi
+        for _, block in path_blocks(acov_T, T, reps, seed, stream=(9,))
+        for x in block])
     S = T * (diffs.T @ diffs) / reps
 
     ratios = {}
@@ -363,15 +365,17 @@ def _forecast_errors(exp, acov_train, acov_window, estimate, exact, reps,
     """``point(i, T, k)``: per replicate, the squared difference between
     the one-step forecasts of ``estimate(train, k)`` and ``exact[:k]`` from
     a length-k window, where train is a length-T path on the stream
-    (exp, i, 0) and the window a path on the stream (exp, i, 1)."""
+    (exp, i, 0) and the window a path on the stream (exp, i, 1).  The
+    training paths are reduced block by block as they are made."""
 
     def point(i, T, k):
-        trains = gaussian_paths(acov_train, T, reps, seed, stream=(exp, i, 0))
         windows = gaussian_paths(acov_window, k, reps, seed,
                                  stream=(exp, i, 1))
-        return [float(np.dot(estimate(train, k) - exact[:k],
-                             window.values[::-1]) ** 2)
-                for train, window in zip(trains, windows)]
+        return [float(np.dot(estimate(SamplePath(values=train), k)
+                             - exact[:k], window.values[::-1]) ** 2)
+                for start, block in path_blocks(acov_train, T, reps, seed,
+                                                stream=(exp, i, 0))
+                for train, window in zip(block, windows[start:])]
 
     return point
 
@@ -424,8 +428,8 @@ def covmoment_scaling(d, n_grid, reps, seed):
     sigma0 = acov.values[0]
 
     def point(i, n):
-        paths = gaussian_paths(acov, n, reps, seed, stream=(3, i))
-        return [float((np.dot(p.values, p.values) / n - sigma0) ** 2)
-                for p in paths]
+        return [float((np.dot(x, x) / n - sigma0) ** 2)
+                for _, block in path_blocks(acov, n, reps, seed, stream=(3, i))
+                for x in block]
 
     return _mc_scaling(n_grid, reps, point)

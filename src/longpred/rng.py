@@ -20,8 +20,15 @@ def derive_rng(seed, *ids):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(path)))
 
 
-def normals(rng, size):
-    """Standard normals via inverse CDF; avoids the endpoints 0 and 1."""
-    u = rng.integers(0, 1 << 53, size=size, dtype=np.uint64).astype(np.float64)
-    return ndtri((u + 0.5) / _U53)
+def normals(rng, size, out=None):
+    """Standard normals via inverse CDF; avoids the endpoints 0 and 1.
 
+    ``out``, a float array of shape ``size``, receives the variates in place
+    and is returned; the values are the same either way.
+    """
+    if out is None:
+        out = np.empty(size)
+    out[...] = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
+    out += 0.5
+    out /= _U53
+    return ndtri(out, out=out)

@@ -3,8 +3,9 @@
 The primary sampler embeds the n x n Toeplitz covariance in a circulant of
 size m = 2(n-1) (Davies & Harte 1987; Wood & Chan 1994), whose eigenvalues
 and paths are real transforms of a half spectrum of n values; replicates
-go through it in blocks of ``_BLOCK``, so the memory beyond the paths is
-one block.  If the embedding has an eigenvalue below -tol, or n = 1, the
+go through it in blocks of ``_BLOCK``, built in buffers allocated once per
+call, so ``path_blocks`` holds one block whatever the number of
+replicates.  If the embedding has an eigenvalue below -tol, or n = 1, the
 Durbin-Levinson innovations method (O(n^2), exact for any positive-definite
 prefix) takes over.  ``method`` may force either sampler.
 """
@@ -17,9 +18,10 @@ from .series import SamplePath
 from .toeplitz import _levinson_steps
 
 EIG_TOL_FACTOR = 1e-10  # tolerance = factor * max embedding eigenvalue
-# circulant replicates per transform; a path does not depend on it.  One per
-# transform rebuilds the FFT plan each time (Bluestein when n - 1 is prime);
-# all at once holds a complex array several times the size of the paths.
+# circulant replicates per transform and per yielded block; a path does not
+# depend on it.  One per transform rebuilds the FFT plan each time
+# (Bluestein when n - 1 is prime); all at once holds a complex array
+# several times the size of the paths.
 _BLOCK = 16
 
 
@@ -47,38 +49,82 @@ def _choose_method(acov, n, method):
     return "circulant", np.sqrt(np.clip(eig, 0.0, None))
 
 
-def _normals(seed, stream, reps, size):
-    """Row i drawn from the stream (seed, *stream, reps[i])."""
-    z = np.empty((len(reps), size))
-    for i, r in enumerate(reps):
-        z[i] = normals(derive_rng(seed, *stream, r), size)
-    return z
+def _circulant_paths(sqrt_eig, n, reps, seed, stream):
+    """Yield (start, paths) for consecutive blocks of up to ``_BLOCK``
+    replicates, each path the half spectrum w_0..w_{n-1} of a Hermitian
+    vector of length m = 2(n-1) under one real transform.
 
-
-def _circulant_paths(sqrt_eig, n, z):
-    """Map a (block, 2(n-1)) array of standard normals to exact paths:
-    each row's w_0..w_{n-1} is the half spectrum of a Hermitian vector."""
-    w = np.empty((z.shape[0], n), dtype=complex)
-    w[:, 0] = sqrt_eig[0] * z[:, 0]
-    w[:, n - 1] = sqrt_eig[n - 1] * z[:, 1]
-    interior = sqrt_eig[1 : n - 1] * np.sqrt(0.5)
-    w[:, 1 : n - 1] = interior * (z[:, 2::2] + 1j * z[:, 3::2])
+    Replicate r's m normals z go straight into the float view of its row
+    of w, that is Re w_0, Im w_0, ..., Re w_{n-2}, Im w_{n-2}; z_1 then
+    moves to Re w_{n-1} and the imaginary slots of w_0 and w_{n-1} are
+    zeroed.  One scale vector holds sqrt(lambda_0), sqrt(lambda_{n-1}) and
+    +-sqrt(lambda_k / 2) in between, the imaginary entries negated, so the
+    product is the conjugate that ``np.fft.hfft`` would transform, and the
+    paths are its arithmetic bit for bit.  The arrays are allocated once
+    and every block is written over the last one.
+    """
     m = 2 * (n - 1)
-    return np.fft.hfft(w, m, axis=1)[:, :n] / np.sqrt(m)
+    rows = min(_BLOCK, reps)
+    w = np.empty((rows, n), dtype=complex)
+    wf = w.view(float)
+    y = np.empty((rows, m))
+    half = sqrt_eig[1 : n - 1] * np.sqrt(0.5)
+    scale = np.zeros(2 * n)
+    scale[0], scale[m] = sqrt_eig[0], sqrt_eig[n - 1]
+    scale[2:m:2], scale[3:m:2] = half, -half
+    root_m = np.sqrt(m)
+    for start in range(0, reps, _BLOCK):
+        b = min(_BLOCK, reps - start)
+        for i in range(b):
+            normals(derive_rng(seed, *stream, start + i), m, out=wf[i, :m])
+        wf[:b, m] = wf[:b, 1]
+        wf[:b, 1] = wf[:b, m + 1] = 0.0
+        np.multiply(wf[:b], scale, out=wf[:b])
+        np.fft.irfft(w[:b], m, axis=1, norm="forward", out=y[:b])
+        x = y[:b, :n]
+        yield start, np.divide(x, root_m, out=x)
 
 
-def _innovations_paths(acov, n, z):
-    """Map a (reps, n) block of standard normals to exact paths, one time
-    step at a time: x_t is the order-t Durbin-Levinson forecast from
-    x_0..x_{t-1} plus the innovation sd times z_t.  Step t reads z_t only to
-    write x_t, so the paths overwrite the normals and are returned in their
-    array; the coefficients are updated in place, so the memory beyond it
-    is O(n)."""
+def _innovations_paths(acov, n, reps, seed, stream):
+    """Yield (0, paths), all replicates in one block, made one time step at
+    a time: x_t is the order-t Durbin-Levinson forecast from x_0..x_{t-1}
+    plus the innovation sd times z_t.  Step t reads z_t only to write x_t,
+    so the paths overwrite the normals in their array; the coefficients
+    are updated in place, so the memory beyond it is O(n)."""
+    z = np.empty((reps, n))
+    for r in range(reps):
+        normals(derive_rng(seed, *stream, r), n, out=z[r])
     z[:, 0] *= np.sqrt(acov.values[0])
     for t, phi, v in _levinson_steps(acov.values, n - 1):
         pred = z[:, t - 1 :: -1][:, :t] @ phi
         z[:, t] = pred + np.sqrt(v) * z[:, t]
-    return z
+    yield 0, z
+
+
+def _sampler(acov, n, reps, seed, stream, method):
+    """The sampler ``method`` resolves to and a generator of its blocks."""
+    if n < 1:
+        raise ValueError("path length must be >= 1")
+    if len(acov) < n:
+        raise ValueError(f"need lags 0..{n - 1}, have 0..{len(acov) - 1}")
+    used, sqrt_eig = _choose_method(acov, n, method)
+    if used == "innovations":
+        return used, _innovations_paths(acov, n, reps, seed, stream)
+    return used, _circulant_paths(sqrt_eig, n, reps, seed, stream)
+
+
+def path_blocks(acov, n, reps, seed, stream=(), method="auto"):
+    """The paths of ``gaussian_paths`` as an iterator of (start, block):
+    block is a (rows, n) array holding replicates start..start+rows-1, and
+    the blocks cover 0..reps-1 in order.
+
+    The circulant sampler yields blocks of ``_BLOCK`` rows, each written
+    over the previous one in the same buffer, so the memory is one block
+    whatever ``reps`` is; a caller must consume (or copy) a block before it
+    asks for the next.  The innovations sampler yields all replicates as
+    one block.  The arguments are checked when this is called.
+    """
+    return _sampler(acov, n, reps, seed, stream, method)[1]
 
 
 def gaussian_paths(acov, n, reps, seed, stream=(), method="auto"):
@@ -88,23 +134,18 @@ def gaussian_paths(acov, n, reps, seed, stream=(), method="auto"):
     ``method`` may force "circulant" or "innovations"; "auto" prefers the
     circulant embedding and falls back when it is not nonnegative.
     Replicate r draws from the stream (seed, *stream, r), so any subset of
-    replicates is reproducible in isolation.
+    replicates is reproducible in isolation.  This collects the blocks of
+    ``path_blocks`` into one (reps, n) array, which the innovations sampler
+    writes itself; a caller that reduces each path to a few numbers should
+    take the blocks instead and hold one at a time.
     """
-    if n < 1:
-        raise ValueError("path length must be >= 1")
-    if len(acov) < n:
-        raise ValueError(f"need lags 0..{n - 1}, have 0..{len(acov) - 1}")
-    used, sqrt_eig = _choose_method(acov, n, method)
-
+    used, blocks = _sampler(acov, n, reps, seed, stream, method)
     if used == "innovations":
-        x = _innovations_paths(acov, n, _normals(seed, stream, range(reps), n))
+        ((_, x),) = blocks
     else:
         x = np.empty((reps, n))
-        for start in range(0, reps, _BLOCK):
-            stop = min(start + _BLOCK, reps)
-            z = _normals(seed, stream, range(start, stop), 2 * (n - 1))
-            x[start:stop] = _circulant_paths(sqrt_eig, n, z)
-
+        for start, block in blocks:
+            x[start : start + len(block)] = block
     return [
         SamplePath(values=x[r], seed=(int(seed), *stream, r), model=acov.model,
                    sim_method=used)

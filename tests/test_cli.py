@@ -133,6 +133,34 @@ def test_simulate_single_file(tmp_path):
     assert {r["rep"] for r in rows} == {0.0, 1.0}
 
 
+def test_simulate_writes_gaussian_paths_byte_for_byte(tmp_path):
+    # the rows stream from the sampler's blocks; 18 replicates cross a
+    # block boundary.  Each file is the header, then one line per value
+    # formatted with repr-exact ".17g", as when every path was held.
+    model = lp.LongMemoryModel.fi(0.35)
+    n, reps, seed = 40, 18, 8
+    paths = lp.gaussian_paths(lp.exact_autocov(model, n - 1), n, reps, seed,
+                              stream=(5,))
+    common = ["simulate", "--model", lp.model_to_json(model), "--n", n,
+              "--reps", reps, "--seed", seed]
+    assert run(common + ["--out", tmp_path / "per"]) == 0
+    assert run(common + ["--out", tmp_path / "one", "--single-file"]) == 0
+
+    def body(path):
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        assert [line[:2] for line in lines[:3]] == ["# "] * 3
+        return "".join(lines[3:])
+
+    for rep, p in enumerate(paths):
+        expected = "t,value\n" + "".join(
+            f"{t},{format(x, '.17g')}\n" for t, x in enumerate(p.values))
+        assert body(tmp_path / "per" / f"rep_{rep:04d}.csv") == expected
+    expected = "rep,t,value\n" + "".join(
+        f"{rep},{t},{format(x, '.17g')}\n"
+        for rep, p in enumerate(paths) for t, x in enumerate(p.values))
+    assert body(tmp_path / "one" / "paths.csv") == expected
+
+
 def test_predict_wk_and_ark(tmp_path, capsys):
     window = tmp_path / "w.csv"
     window.write_text("value\n" + "\n".join(str(v) for v in [0.4, -1.2, 2.0])

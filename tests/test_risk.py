@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -197,16 +198,26 @@ def test_ark_excess_matches_mpmath(d, k):
                                rtol=1e-9)
 
 
+@pytest.mark.parametrize("d, k", [(0.4999, 1000), (0.499, 6400)])
+def test_ark_excess_matches_mpmath_near_half(d, k):
+    # the order-1 term is log(1 (1 - 2d) / (1 - d)^2) here: log1p(-p_1^2)
+    # through its slope 1/(1 - p_1^2) ~ 1250 left the bound at 2.9e-9 for
+    # (0.4999, 1000), so the value was refused
+    value = lp.ark_excess(lp.LongMemoryModel.fi(d, sigma2_eps=2.0), k)
+    np.testing.assert_allclose(value, 2.0 * ark_excess_mpmath(d, k),
+                               rtol=1e-9)
+
+
 def test_ark_excess_refuses_an_uncertified_order(monkeypatch):
-    # at d = 0.49 the bound grows like k: 6.5e-10 at k = 6400, 1.02e-9 at
-    # k = 10000.  The refusal comes before the O(k^2) cross-check.
+    # at d = 0.49 the bound grows like k: 4.9e-10 at k = 6400, 1.08e-9 at
+    # k = 14000.  The refusal comes before the O(k^2) cross-check.
     def no_quadratic_form(acov, model_k):
         raise AssertionError("O(k^2) cross-check ran")
 
     monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
                         no_quadratic_form)
     with pytest.raises(AccuracyError) as exc:
-        lp.ark_excess(lp.LongMemoryModel.fi(0.49), 10000)
+        lp.ark_excess(lp.LongMemoryModel.fi(0.49), 14000)
     assert 1e-9 < exc.value.achieved < 2e-9
 
 
@@ -421,6 +432,37 @@ def test_coeffcov_deterministic_rerun():
     b = lp.coeffcov_scaling(0.1, 4, [256, 512], 60, seed=5)
     np.testing.assert_array_equal(a.estimates, b.estimates)
     assert a.slope == b.slope
+
+
+def test_covmoment_scaling_reduces_the_paths_of_gaussian_paths():
+    # the streamed blocks feed exactly the per-replicate values of the
+    # held paths; 50 replicates end in a partial block
+    d, grid, reps, seed = 0.3, [100, 300], 50, 8
+    acov = lp.exact_autocov(lp.LongMemoryModel.fi(d), 300)
+    report = lp.covmoment_scaling(d, grid, reps, seed)
+    for i, n in enumerate(grid):
+        paths = lp.gaussian_paths(acov, n, reps, seed, stream=(3, i))
+        vals = [(np.dot(p.values, p.values) / n - acov.values[0]) ** 2
+                for p in paths]
+        assert report.estimates[i] == np.mean(vals)
+        assert report.stderrs[i] == np.std(vals, ddof=1) / math.sqrt(reps)
+
+
+@pytest.mark.parametrize("scaling", [
+    lambda grid, reps: lp.covmoment_scaling(0.4, grid, reps, seed=1),
+    lambda grid, reps: lp.coeffcov_scaling(0.4, 8, grid, reps, seed=1),
+], ids=["covmoment", "coeffcov"])
+def test_monte_carlo_scaling_holds_one_block_of_paths(scaling):
+    # the training paths are reduced block by block: holding all of them
+    # would trace at least the 52 MB of 200 paths of length 32768
+    T, reps = 32768, 200
+    tracemalloc.start()
+    try:
+        scaling([16384, T], reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * reps * T * 8
 
 
 def test_covmoment_scaling_slopes(covmoment_reports):

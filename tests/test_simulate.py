@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import longpred as lp
+from longpred.errors import NotPositiveDefiniteError
 from longpred.rng import derive_rng, normals
 from longpred.simulate import EIG_TOL_FACTOR, circulant_eigenvalues
 
@@ -22,6 +23,54 @@ def test_fixed_seed_reproducible():
     np.testing.assert_array_equal(p1.values, p2.values)
     assert p1.sim_method == "circulant"
     assert p1.seed == (12345, 0)
+
+
+def _cosine_acov(n):
+    """cos(h) plus a unit nugget at lag 0: positive definite at every n,
+    while its circulant embedding has a negative eigenvalue for n >= 3."""
+    h = np.arange(n)
+    return lp.AutocovSeq(values=np.cos(h) + 0.1 * (h == 0), source="exact")
+
+
+@pytest.mark.parametrize("reps", [1, 15, 16, 17, 37])
+@pytest.mark.parametrize("sampler, n", [
+    ("circulant", 2), ("circulant", 3), ("circulant", 4097),
+    ("innovations", 2), ("innovations", 3), ("innovations", 4097),
+    # a 2 x 2 embedding is the covariance itself, so n = 2 never falls back
+    ("fallback", 3), ("fallback", 4097),
+])
+def test_path_blocks_concatenate_to_gaussian_paths(sampler, n, reps):
+    # blocks in order cover every replicate once, and together they are
+    # the collected paths bit for bit; each circulant block is written over
+    # the last, so it is copied as it comes
+    if sampler == "fallback":
+        acov, method, used = _cosine_acov(n), "auto", "innovations"
+    else:
+        acov, method, used = fi_acov(0.4, n - 1), sampler, sampler
+    paths = lp.gaussian_paths(acov, n, reps, 31, stream=(2, 5), method=method)
+    assert {p.sim_method for p in paths} == {used}
+    starts, rows = [], []
+    for start, block in lp.path_blocks(acov, n, reps, 31, stream=(2, 5),
+                                       method=method):
+        starts.append(start)
+        rows.append(block.copy())
+    x = np.concatenate(rows)
+    assert x.shape == (reps, n)
+    assert np.array_equal(x, np.array([p.values for p in paths]))
+    sizes = [len(r) for r in rows]
+    assert starts == list(np.cumsum([0] + sizes[:-1]))
+    if used == "circulant":
+        assert max(sizes) <= 16
+    else:
+        assert sizes == [reps]
+
+
+def test_path_blocks_checks_its_arguments_when_called():
+    acov = fi_acov(0.3, 10)
+    with pytest.raises(ValueError):
+        lp.path_blocks(acov, 12, 1, seed=1)
+    with pytest.raises(NotPositiveDefiniteError):
+        lp.path_blocks(_cosine_acov(5), 5, 1, seed=1, method="circulant")
 
 
 def test_batch_matches_individual_streams():
