@@ -21,7 +21,7 @@ from .risk import (SlopeReport, ark_excess, c_of_d, coeffcov_scaling,
                    h_covariance_check, r_of_k, truncation_excess,
                    wk_plugin_scaling)
 from .series import SamplePath
-from .simulate import gaussian_paths, path_blocks
+from .simulate import gaussian_paths
 from .spectral import (Periodogram, WhittleFit, periodogram,
                        periodogram_ordinate, whittle_fit, whittle_objective,
                        whittle_profiled_sigma2)
@@ -39,7 +39,7 @@ __all__ = [
     "empirical_autocov", "exact_autocov", "excess_decomposition",
     "fi_ark_closed_form", "gaussian_paths",
     "h_covariance_check", "ma_inf_coeffs",
-    "model_from_json", "model_to_json", "path_blocks", "periodogram",
+    "model_from_json", "model_to_json", "periodogram",
     "periodogram_ordinate", "r_of_k", "spectral_density", "toeplitz_solve",
     "truncation_excess", "whittle_fit", "whittle_objective",
     "whittle_profiled_sigma2", "wk_plugin_predict", "wk_plugin_scaling",

@@ -369,13 +369,13 @@ def _forecast_errors(exp, acov_train, acov_window, estimate, exact, reps,
     training paths are reduced block by block as they are made."""
 
     def point(i, T, k):
-        windows = gaussian_paths(acov_window, k, reps, seed,
-                                 stream=(exp, i, 1))
+        windows = iter(gaussian_paths(acov_window, k, reps, seed,
+                                      stream=(exp, i, 1)))
         return [float(np.dot(estimate(SamplePath(values=train), k)
                              - exact[:k], window.values[::-1]) ** 2)
-                for start, block in path_blocks(acov_train, T, reps, seed,
-                                                stream=(exp, i, 0))
-                for train, window in zip(block, windows[start:])]
+                for _, block in path_blocks(acov_train, T, reps, seed,
+                                            stream=(exp, i, 0))
+                for train, window in zip(block, windows)]
 
     return point
 

@@ -116,28 +116,27 @@ def _fi_log_innovation(d, k):
     The partials are d/(t - d) (Hosking 1981, Biometrika), so
     v(k) = sigma(0) prod_t (1 - partials_t^2) and
     L = log1p(delta) + sum_t log1p(-partials_t^2), delta = sigma(0)/sigma2 - 1.
-    Where x = partials_t^2 exceeds 1/2 (only t = 1, for d > 0.414) the term
-    is log(t (t - 2d) / (t - d)^2) instead: 1 - x written as a ratio, so
-    no rounding of x is magnified by the slope 1/(1 - x).  The bound
-    charges a log1p term the five roundings of its square (t - d, the
-    quotient, the product) through that slope, a log term the six of its
-    ratio (t - 2d, the product, t - d twice through the square, the square,
-    the quotient), every term two units of its logarithm's own error, the
-    error of delta, and one rounding each of the exactly rounded sum and
-    the final addition.
+    Where x = partials_t^2 exceeds 1/2 (only t = 1, for d > 0.414; later
+    partials are below 1/3) the term is log((1 - 2d) / (1 - d)^2) instead:
+    1 - x written as a ratio, so no rounding of x is magnified by the slope
+    1/(1 - x).  The bound charges a log1p term the five roundings of its
+    square (t - d, the quotient, the product) through that slope, the log
+    term the five of its ratio (1 - 2d, 1 - d twice through the square, the
+    square, the quotient), every term two units of its logarithm's own
+    error, the error of delta, and one rounding each of the exactly rounded
+    sum and the final addition.
     """
-    t = np.arange(1, k + 1, dtype=float)
-    partials = d / (t - d)
+    partials = d / (np.arange(1, k + 1, dtype=float) - d)
     x = partials * partials
-    near = x > 0.5
     terms = np.log1p(-x)
-    tn = t[near]
-    terms[near] = np.log(tn * (tn - 2.0 * d) / (tn - d) ** 2)
+    # roundings of each term's argument, half units, through log's slope
+    roundings = 5.0 * x / (1.0 - x)
+    if x[0] > 0.5:
+        terms[0] = math.log((1.0 - 2.0 * d) / (1.0 - d) ** 2)
+        roundings[0] = 5.0
     delta, delta_err = _fi_delta(d)
     head, tail = math.log1p(delta), math.fsum(terms)
     log_v = head + tail
-    # roundings of each term's argument, half units, through log's slope
-    roundings = np.where(near, 6.0, 5.0 * x / (1.0 - x))
     err = (0.5 * _EPS * float(np.sum(roundings))
            + _EPS * (2.0 * float(-np.sum(terms)) + 2.0 * abs(head)
                      + 0.5 * (abs(tail) + abs(log_v)))

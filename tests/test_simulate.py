@@ -6,7 +6,8 @@ import pytest
 import longpred as lp
 from longpred.errors import NotPositiveDefiniteError
 from longpred.rng import derive_rng, normals
-from longpred.simulate import EIG_TOL_FACTOR, circulant_eigenvalues
+from longpred.simulate import (EIG_TOL_FACTOR, circulant_eigenvalues,
+                               path_blocks)
 
 from circulant_oracle import circulant_paths_inline
 from levinson_oracle import innovations_paths_inline
@@ -50,8 +51,8 @@ def test_path_blocks_concatenate_to_gaussian_paths(sampler, n, reps):
     paths = lp.gaussian_paths(acov, n, reps, 31, stream=(2, 5), method=method)
     assert {p.sim_method for p in paths} == {used}
     starts, rows = [], []
-    for start, block in lp.path_blocks(acov, n, reps, 31, stream=(2, 5),
-                                       method=method):
+    for start, block in path_blocks(acov, n, reps, 31, stream=(2, 5),
+                                    method=method):
         starts.append(start)
         rows.append(block.copy())
     x = np.concatenate(rows)
@@ -68,9 +69,9 @@ def test_path_blocks_concatenate_to_gaussian_paths(sampler, n, reps):
 def test_path_blocks_checks_its_arguments_when_called():
     acov = fi_acov(0.3, 10)
     with pytest.raises(ValueError):
-        lp.path_blocks(acov, 12, 1, seed=1)
+        path_blocks(acov, 12, 1, seed=1)
     with pytest.raises(NotPositiveDefiniteError):
-        lp.path_blocks(_cosine_acov(5), 5, 1, seed=1, method="circulant")
+        path_blocks(_cosine_acov(5), 5, 1, seed=1, method="circulant")
 
 
 def test_batch_matches_individual_streams():
