@@ -67,6 +67,10 @@ def write_artifact(path, columns, rows, seed, config):
             fh.write(header)
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # mkstemp creates 0600; give the file the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

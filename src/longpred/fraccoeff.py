@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import lfilter
 from scipy.special import gammaln, zeta
 
 from .errors import AccuracyError, DomainError
@@ -186,6 +185,15 @@ def _arma_polys(model):
             np.r_[1.0, np.asarray(model.ma_poly)])
 
 
+def _arma_filter(b, a, x):
+    """lfilter(b, a, x), the ARMA part of every FARIMA sequence.  Only
+    FARIMA models filter, so scipy.signal, which pulls in scipy.stats,
+    scipy.interpolate and scipy.optimize, loads on the first call rather
+    than on ``import longpred``."""
+    from scipy.signal import lfilter
+    return lfilter(b, a, x)
+
+
 def ar_inf_coeffs(model, n):
     """AR-infinity coefficients a_0..a_n of the model: the FI ratio
     recursion, for FARIMA filtered through phi(z)/theta(z)."""
@@ -194,7 +202,7 @@ def ar_inf_coeffs(model, n):
     values = _fi_ar_values(model.d, n)
     if not model.is_pure_fractional:
         phi, theta = _arma_polys(model)
-        values = lfilter(phi, theta, values)
+        values = _arma_filter(phi, theta, values)
     values, clamped = _clamp_subnormal(values)
     return CoeffSeq(convention="ar_inf", values=values, model=model, clamped=clamped)
 
@@ -207,7 +215,7 @@ def ma_inf_coeffs(model, n):
     values = _fi_ar_values(-model.d, n)
     if not model.is_pure_fractional:
         phi, theta = _arma_polys(model)
-        values = lfilter(theta, phi, values)
+        values = _arma_filter(theta, phi, values)
     values, clamped = _clamp_subnormal(values)
     return CoeffSeq(convention="ma_inf", values=values, model=model, clamped=clamped)
 
@@ -257,7 +265,7 @@ def _farima_autocov(model, m):
                 f"H = {H} > {_H_MAX}", achieved=float(R ** (_H_MAX - q)))
     impulse = np.zeros(2 * H + 1, _WIDE)
     impulse[0] = 1.0
-    psi = lfilter(theta.astype(_WIDE), phi.astype(_WIDE), impulse)
+    psi = _arma_filter(theta.astype(_WIDE), phi.astype(_WIDE), impulse)
     psi_abs = np.abs(psi).astype(float)
     g = np.correlate(psi, psi, "full")[2 * H : 3 * H + 1]  # lags 0..H
     g_abs = np.correlate(psi_abs, psi_abs, "full")[2 * H : 3 * H + 1]

@@ -23,15 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.signal import lfilter
 from scipy.special import gammaln
 
 from .errors import (AccuracyError, DomainError, InternalConsistencyError,
                      StatisticalPowerError)
 from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
-                        _arma_polys, _farima_autocov, _fi_acf, _fi_ar_values,
-                        _fi_delta, _log_abs_gamma_neg, _roundoff,
-                        ar_inf_coeffs, exact_autocov)
+                        _arma_filter, _arma_polys, _farima_autocov, _fi_acf,
+                        _fi_ar_values, _fi_delta, _log_abs_gamma_neg,
+                        _roundoff, ar_inf_coeffs, exact_autocov)
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
@@ -91,7 +90,7 @@ def truncation_excess(model, k):
         steps = 3  # roundings per step of the coefficient recursion
     else:
         phi, theta = _arma_polys(model)
-        a = lfilter(phi.astype(_WIDE), theta.astype(_WIDE), a)
+        a = _arma_filter(phi.astype(_WIDE), theta.astype(_WIDE), a)
         s, rel = _farima_autocov(model, k)
         rho = s[1:] / s[0]
         rho_err = rel[1:] + rel[0] + _WIDE_EPS

@@ -2,6 +2,9 @@ import importlib.util
 import json
 import os
 import pathlib
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,20 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports longpred from the
+    checkout's sources; the test session itself has loaded scipy.signal.
+    Returns the last line of standard output."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def test_cd_curve_artifact(tmp_path):
@@ -399,3 +416,48 @@ def test_output_directory_must_exist(tmp_path):
     code = run(["cd-curve", "--steps", 3, "--d-min", 0.1, "--d-max", 0.2,
                 "--out", missing])
     assert code == 1
+
+
+IMPORT_GUARD = """
+import json, sys
+import longpred as lp
+import longpred.cli
+assert lp.cli.main(["trunc-rate", "--d", "0.2,0.4", "--k-grid", "10,20",
+                    "--out", sys.argv[1]]) == 0
+lp.covmoment_scaling(0.2, [64, 128], 50, seed=1)
+fi_loaded = "scipy.signal" in sys.modules
+model = lp.LongMemoryModel.farima(0.3, ar=(0.5,), ma=(0.3,))
+assert lp.exact_autocov(model, 20).values[0] > 0
+print(json.dumps([fi_loaded, "scipy.signal" in sys.modules]))
+"""
+
+
+def test_fi_work_leaves_scipy_signal_unloaded(tmp_path):
+    # scipy.signal (and with it scipy.stats, scipy.interpolate and
+    # scipy.optimize) serves only the ARMA filter of FARIMA models
+    out = run_fresh(IMPORT_GUARD, tmp_path / "trunc.csv")
+    assert json.loads(out) == [False, True]
+
+
+def test_farima_simulate_in_fresh_interpreter_matches_in_process(tmp_path):
+    model = lp.model_to_json(lp.LongMemoryModel.farima(0.3, ar=(0.5,),
+                                                       ma=(0.3,)))
+    args = ["simulate", "--model", model, "--n", 64, "--reps", 3,
+            "--seed", 5, "--single-file"]
+    code = "import sys; from longpred.cli import main; print(main(sys.argv[1:]))"
+    assert run_fresh(code, *args, "--out", tmp_path / "fresh") == "0"
+    assert run(args + ["--out", tmp_path / "here"]) == 0
+    assert ((tmp_path / "fresh" / "paths.csv").read_bytes()
+            == (tmp_path / "here" / "paths.csv").read_bytes())
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_artifact_mode_follows_umask(tmp_path, umask, mode):
+    out = tmp_path / "cd.csv"
+    old = os.umask(umask)
+    try:
+        assert run(["cd-curve", "--steps", 3, "--d-min", 0.1, "--d-max", 0.2,
+                    "--out", out]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode

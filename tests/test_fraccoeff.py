@@ -10,6 +10,8 @@ import longpred as lp
 from longpred.errors import AccuracyError, DomainError
 from longpred.fraccoeff import _clamp_subnormal, model_from_json, model_to_json
 
+from farima_filter_oracle import (MODELS, ar_inf_inline,
+                                  farima_autocov_inline, ma_inf_inline)
 from quadrature_oracle import integrate_symmetric_singular
 
 
@@ -228,6 +230,19 @@ def test_farima_autocov_matches_arma11_splitting_oracle(d, ar, ma, m):
     ref = farima11_autocov_oracle(d, ar[0] if ar else 0.0,
                                   ma[0] if ma else 0.0, m)
     np.testing.assert_allclose(got, ref, rtol=1e-8)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_farima_sequences_equal_inline_lfilter_bit_for_bit(model):
+    # scipy.signal loads on the first filter call, not with longpred; the
+    # sequences must still come out of the same lfilter call as before
+    n = 600
+    assert np.array_equal(lp.ar_inf_coeffs(model, n).values,
+                          ar_inf_inline(model, n))
+    assert np.array_equal(lp.ma_inf_coeffs(model, n).values,
+                          ma_inf_inline(model, n))
+    assert np.array_equal(lp.exact_autocov(model, n).values,
+                          farima_autocov_inline(model, n).astype(float))
 
 
 def test_ar_root_near_unit_circle_raises_at_once():

@@ -17,6 +17,7 @@ from longpred.risk import (excess_decomposition, h_sandwich,
                            wk_plugin_order_scaling)
 from longpred.tails import powerlaw_tail_sum
 
+from farima_filter_oracle import MODELS, truncation_excess_inline
 from quadrature_oracle import compute_H_quadrature
 
 
@@ -102,6 +103,12 @@ def test_truncation_excess_farima_negative_ar_root():
     sig = lp.exact_autocov(model, k).values
     np.testing.assert_allclose(lp.truncation_excess(model, k),
                                plain_excess(a, sig), rtol=1e-8)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("k", [10, 50])
+def test_truncation_excess_farima_equals_inline_lfilter(model, k):
+    assert lp.truncation_excess(model, k) == truncation_excess_inline(model, k)
 
 
 def test_truncation_excess_grows_with_memory():
