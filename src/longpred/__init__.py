@@ -17,7 +17,8 @@ from .fraccoeff import (AutocovSeq, CoeffSeq, LongMemoryModel, ar_inf_coeffs,
 from .predictor import (Forecast, ark_plugin_predict, ark_predict,
                         wk_plugin_predict, wk_truncated_predict)
 from .risk import (SlopeReport, ark_excess, c_of_d, coeffcov_scaling,
-                   compute_H, covmoment_scaling, excess_decomposition,
+                   compute_H, covmoment_exact, covmoment_scaling,
+                   excess_decomposition,
                    h_covariance_check, r_of_k, truncation_excess,
                    wk_plugin_scaling)
 from .series import SamplePath
@@ -35,7 +36,8 @@ __all__ = [
     "SamplePath", "SlopeReport",
     "StatisticalPowerError", "WhittleFit", "ar_inf_coeffs",
     "ark_excess", "ark_plugin_predict", "ark_predict", "c_of_d",
-    "coeffcov_scaling", "compute_H", "covmoment_scaling", "durbin_levinson",
+    "coeffcov_scaling", "compute_H", "covmoment_exact", "covmoment_scaling",
+    "durbin_levinson",
     "empirical_autocov", "exact_autocov", "excess_decomposition",
     "fi_ark_closed_form", "gaussian_paths",
     "h_covariance_check", "ma_inf_coeffs",

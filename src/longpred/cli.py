@@ -29,8 +29,9 @@ from .series import SamplePath
 from .simulate import path_blocks
 from .spectral import whittle_fit
 from .toeplitz import durbin_levinson
-from .risk import (ark_excess, c_of_d, coeffcov_scaling, covmoment_scaling,
-                   r_of_k, truncation_excess, wk_plugin_scaling, _loglog_slope)
+from .risk import (ark_excess, c_of_d, coeffcov_scaling, covmoment_exact,
+                   covmoment_scaling, r_of_k, truncation_excess,
+                   wk_plugin_scaling, _loglog_slope)
 
 
 class UsageError(ValueError):
@@ -213,8 +214,11 @@ def _cmd_scaling(args, config):
 def _cmd_covmoment_mc(args, config):
     report = covmoment_scaling(args.d, _parse_int_grid(args.n_grid),
                                args.reps, args.seed)
-    write_artifact(args.out, ["n", "estimate", "stderr", "fitted_slope"],
-                   _slope_rows(report), args.seed, config)
+    rows = [(n, est, se, covmoment_exact(args.d, n), slope)
+            for n, est, se, slope in _slope_rows(report)]
+    write_artifact(args.out,
+                   ["n", "estimate", "stderr", "exact", "fitted_slope"],
+                   rows, args.seed, config)
     return 0
 
 

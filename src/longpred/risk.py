@@ -427,8 +427,22 @@ def covmoment_scaling(d, n_grid, reps, seed):
     sigma0 = acov.values[0]
 
     def point(i, n):
-        return [float((np.dot(x, x) / n - sigma0) ** 2)
+        # einsum, not BLAS: the sums must not depend on the BLAS thread count
+        return [float((np.einsum("i,i->", x, x) / n - sigma0) ** 2)
                 for _, block in path_blocks(acov, n, reps, seed, stream=(3, i))
                 for x in block]
 
     return _mc_scaling(n_grid, reps, point)
+
+
+def covmoment_exact(d, n):
+    """E[(sigma_hat(0) - sigma(0))^2] of FI(d) at path length n, with
+    sigma_hat(0) = (1/n) sum_t X_t^2: by Isserlis' theorem
+    (2/n^2) (n sigma(0)^2 + 2 sum_{h=1}^{n-1} (n - h) sigma(h)^2), an O(n)
+    sum.  The exact reference of ``covmoment_scaling``."""
+    if n < 1:
+        raise ValueError("path length must be >= 1")
+    sig = exact_autocov(LongMemoryModel.fi(d), n - 1).values
+    h = np.arange(1, n)
+    return float(2.0 / n ** 2 * (n * sig[0] ** 2
+                                 + 2.0 * np.sum((n - h) * sig[1:] ** 2)))

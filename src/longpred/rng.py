@@ -2,16 +2,14 @@
 
 Every replicate derives its own counter-based generator from the 64-bit
 master seed plus a path of integer substream ids, so any replicate can be
-reproduced on its own.  Normal variates are produced by inverse CDF on a
-strictly interior uniform grid, which keeps the variate count per
-replicate fixed.
+reproduced on its own.  Normal variates are the generator's own
+``standard_normal`` draws; since no two replicates share a stream, how many
+raw draws a variate consumes never moves another replicate.
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
-_U53 = float(1 << 53)
 
 
 def derive_rng(seed, *ids):
@@ -21,14 +19,9 @@ def derive_rng(seed, *ids):
 
 
 def normals(rng, size, out=None):
-    """Standard normals via inverse CDF; avoids the endpoints 0 and 1.
+    """``size`` standard normals from ``rng``.
 
-    ``out``, a float array of shape ``size``, receives the variates in place
-    and is returned; the values are the same either way.
+    ``out``, a contiguous float array of shape ``size``, receives the
+    variates in place and is returned; the values are the same either way.
     """
-    if out is None:
-        out = np.empty(size)
-    out[...] = rng.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    out += 0.5
-    out /= _U53
-    return ndtri(out, out=out)
+    return rng.standard_normal(size, out=out)

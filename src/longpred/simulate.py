@@ -1,9 +1,12 @@
 """Exact Gaussian sample paths from a target autocovariance sequence.
 
 The primary sampler embeds the n x n Toeplitz covariance in a circulant of
-size m = 2(n-1) (Davies & Harte 1987; Wood & Chan 1994), whose eigenvalues
-and paths are real transforms of a half spectrum of n values; replicates
-go through it in blocks of ``_BLOCK``, built in buffers allocated once per
+size m = 2h, h the smallest 5-smooth integer >= n - 1 (Davies & Harte 1987;
+Wood & Chan 1994 allow any m >= 2(n-1)), so that every transform has a fast
+length: h = n for the power-of-two n of the Monte Carlo grids.  Its
+eigenvalues and paths are real transforms of a half spectrum of h + 1
+values, and a path is the first n values of a transform.  Replicates go
+through it in blocks of ``_BLOCK``, built in buffers allocated once per
 call, so ``path_blocks`` holds one block whatever the number of
 replicates.  If the embedding has an eigenvalue below -tol, or n = 1, the
 Durbin-Levinson innovations method (O(n^2), exact for any positive-definite
@@ -13,23 +16,56 @@ prefix) takes over.  ``method`` may force either sampler.
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
+from .fraccoeff import exact_autocov
 from .rng import derive_rng, normals
 from .series import SamplePath
 from .toeplitz import _levinson_steps
 
 EIG_TOL_FACTOR = 1e-10  # tolerance = factor * max embedding eigenvalue
 # circulant replicates per transform and per yielded block; a path does not
-# depend on it.  One per transform rebuilds the FFT plan each time
-# (Bluestein when n - 1 is prime); all at once holds a complex array
-# several times the size of the paths.
+# depend on it.  One per transform pays the per-call cost of the transform
+# for every path; all at once holds a complex array several times the size
+# of the paths.
 _BLOCK = 16
 
 
+def _five_smooth(n):
+    """The smallest integer >= n whose only prime factors are 2, 3 and 5."""
+    best = 1
+    while best < n:
+        best *= 2
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def circulant_eigenvalues(acov, n):
-    """Eigenvalues of the size-2(n-1) circulant embedding of Sigma_n."""
+    """Eigenvalues of the size-2h circulant embedding of Sigma_n, h the
+    smallest 5-smooth integer >= n - 1, from the lags sigma(0..h).
+
+    The embedding depends on n alone.  Lags the caller did not pass come
+    from ``exact_autocov`` of the sequence's model, whose values do not
+    depend on how many lags are asked for, so neither does a path."""
     if n < 2:
         raise ValueError("embedding needs n >= 2")
-    return np.fft.hfft(acov.values[:n], 2 * (n - 1))
+    h = _five_smooth(n - 1)
+    if len(acov) > h:
+        lags = acov.values[: h + 1]
+    elif acov.model is None:
+        raise ValueError(f"the circulant embedding of a length-{n} path "
+                         f"needs lags 0..{h}, have 0..{len(acov) - 1} and "
+                         f"no model to extend them")
+    else:
+        lags = exact_autocov(acov.model, h).values
+    return np.fft.hfft(lags, 2 * h)
 
 
 def _choose_method(acov, n, method):
@@ -51,26 +87,28 @@ def _choose_method(acov, n, method):
 
 def _circulant_paths(sqrt_eig, n, reps, seed, stream):
     """Yield (start, paths) for consecutive blocks of up to ``_BLOCK``
-    replicates, each path the half spectrum w_0..w_{n-1} of a Hermitian
-    vector of length m = 2(n-1) under one real transform.
+    replicates, each path the first n values of one real transform of the
+    half spectrum w_0..w_h of a Hermitian vector of length
+    m = 2h = ``sqrt_eig.size``.
 
     Replicate r's m normals z go straight into the float view of its row
-    of w, that is Re w_0, Im w_0, ..., Re w_{n-2}, Im w_{n-2}; z_1 then
-    moves to Re w_{n-1} and the imaginary slots of w_0 and w_{n-1} are
-    zeroed.  One scale vector holds sqrt(lambda_0), sqrt(lambda_{n-1}) and
+    of w, that is Re w_0, Im w_0, ..., Re w_{h-1}, Im w_{h-1}; z_1 then
+    moves to Re w_h and the imaginary slots of w_0 and w_h are zeroed.  One
+    scale vector holds sqrt(lambda_0), sqrt(lambda_h) and
     +-sqrt(lambda_k / 2) in between, the imaginary entries negated, so the
     product is the conjugate that ``np.fft.hfft`` would transform, and the
     paths are its arithmetic bit for bit.  The arrays are allocated once
     and every block is written over the last one.
     """
-    m = 2 * (n - 1)
+    m = sqrt_eig.size
+    h = m // 2
     rows = min(_BLOCK, reps)
-    w = np.empty((rows, n), dtype=complex)
+    w = np.empty((rows, h + 1), dtype=complex)
     wf = w.view(float)
     y = np.empty((rows, m))
-    half = sqrt_eig[1 : n - 1] * np.sqrt(0.5)
-    scale = np.zeros(2 * n)
-    scale[0], scale[m] = sqrt_eig[0], sqrt_eig[n - 1]
+    half = sqrt_eig[1:h] * np.sqrt(0.5)
+    scale = np.zeros(m + 2)
+    scale[0], scale[m] = sqrt_eig[0], sqrt_eig[h]
     scale[2:m:2], scale[3:m:2] = half, -half
     root_m = np.sqrt(m)
     for start in range(0, reps, _BLOCK):

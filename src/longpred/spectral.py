@@ -108,8 +108,10 @@ def _contrast_slope(values, L, L_sq, L_mean, d):
     w = np.exp(L * (2.0 * d))
     w *= values
     total = w.sum()
-    mu = (w @ L) / total
-    return (2.0 * (mu - L_mean), 4.0 * ((w @ L_sq) / total - mu * mu),
+    # einsum, not BLAS: the sums must not depend on the BLAS thread count
+    mu = np.einsum("i,i->", w, L) / total
+    return (2.0 * (mu - L_mean),
+            4.0 * (np.einsum("i,i->", w, L_sq) / total - mu * mu),
             total / L.size)
 
 

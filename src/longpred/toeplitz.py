@@ -102,7 +102,9 @@ def empirical_autocov(sample, maxlag, demean=False):
         y = y - np.mean(y)
     out = np.empty(maxlag + 1)
     for h in range(maxlag + 1):
-        out[h] = np.dot(y[: T - h], y[h:]) / T
+        # np.dot would hand a long sum to BLAS, whose threads split it, so
+        # the last bits would follow the thread count; einsum does not
+        out[h] = np.einsum("i,i->", y[: T - h], y[h:]) / T
     if out[0] <= 0.0:
         raise NotPositiveDefiniteError(0, "degenerate sample: sigma_hat(0) "
                                           "is not positive")

@@ -19,13 +19,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def run_fresh(code, *args):
+def run_fresh(code, *args, env=None):
     """Run ``code`` in a fresh interpreter that imports longpred from the
     checkout's sources; the test session itself has loaded scipy.signal.
-    Returns the last line of standard output."""
+    ``env`` adds environment variables.  Returns the last line of standard
+    output."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           env=env, capture_output=True, text=True,
                           timeout=300)
@@ -449,6 +451,32 @@ def test_farima_simulate_in_fresh_interpreter_matches_in_process(tmp_path):
     assert run(args + ["--out", tmp_path / "here"]) == 0
     assert ((tmp_path / "fresh" / "paths.csv").read_bytes()
             == (tmp_path / "here" / "paths.csv").read_bytes())
+
+
+def test_monte_carlo_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a long dot product across its threads, which moves
+    # the last bits of the sum; through BLAS, the empirical
+    # autocovariances at T = 16384 differ between one and two threads
+    args = ["coeffcov-mc", "--d", 0.4, "--k", 8, "--t-grid", "8192,16384",
+            "--reps", 50, "--seed", 3]
+    code = "import sys; from longpred.cli import main; print(main(sys.argv[1:]))"
+    for threads in ("1", "2"):
+        assert run_fresh(code, *args, "--out", tmp_path / f"{threads}.csv",
+                         env={"OPENBLAS_NUM_THREADS": threads,
+                              "OMP_NUM_THREADS": threads}) == "0"
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+def test_covmoment_artifact_has_the_exact_reference(tmp_path):
+    out = tmp_path / "cm.csv"
+    assert run(["covmoment-mc", "--d", 0.2, "--n-grid", "256,512", "--reps",
+                60, "--seed", 3, "--out", out]) == 0
+    with open(out) as fh:
+        assert [line for line in fh if not line.startswith("#")][0] == (
+            "n,estimate,stderr,exact,fitted_slope\n")
+    _, rows = read_artifact(out)
+    assert [r["exact"] for r in rows] == [lp.covmoment_exact(0.2, 256),
+                                          lp.covmoment_exact(0.2, 512)]
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import time
 import tracemalloc
 
@@ -11,6 +12,7 @@ from scipy.special import gamma as Gamma
 from scipy.special import gammaln
 
 import longpred as lp
+from longpred.cli import read_artifact
 from longpred.errors import (AccuracyError, DomainError,
                              InternalConsistencyError, StatisticalPowerError)
 from longpred.risk import (excess_decomposition, h_sandwich,
@@ -443,13 +445,15 @@ def test_coeffcov_deterministic_rerun():
 
 def test_covmoment_scaling_reduces_the_paths_of_gaussian_paths():
     # the streamed blocks feed exactly the per-replicate values of the
-    # held paths; 50 replicates end in a partial block
+    # held paths; 50 replicates end in a partial block.  The sum of squares
+    # is the BLAS-free einsum the library uses
     d, grid, reps, seed = 0.3, [100, 300], 50, 8
     acov = lp.exact_autocov(lp.LongMemoryModel.fi(d), 300)
     report = lp.covmoment_scaling(d, grid, reps, seed)
     for i, n in enumerate(grid):
         paths = lp.gaussian_paths(acov, n, reps, seed, stream=(3, i))
-        vals = [(np.dot(p.values, p.values) / n - acov.values[0]) ** 2
+        vals = [(np.einsum("i,i->", p.values, p.values) / n
+                 - acov.values[0]) ** 2
                 for p in paths]
         assert report.estimates[i] == np.mean(vals)
         assert report.stderrs[i] == np.std(vals, ddof=1) / math.sqrt(reps)
@@ -470,6 +474,31 @@ def test_monte_carlo_scaling_holds_one_block_of_paths(scaling):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * reps * T * 8
+
+
+@pytest.mark.parametrize("d", [0.1, 0.25, 0.4])
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_covmoment_exact_is_the_isserlis_sum(d, n):
+    # Var((1/n) sum_t X_t^2) = (2/n^2) sum_{s,t} sigma(s - t)^2 for a
+    # zero-mean Gaussian path, summed here over the whole n x n covariance
+    cov = lp.exact_autocov(lp.LongMemoryModel.fi(d), n - 1).toeplitz(n)
+    direct = 2.0 * np.sum(cov ** 2) / n ** 2
+    assert lp.covmoment_exact(d, n) == pytest.approx(direct, rel=1e-12)
+
+
+def test_committed_covmoment_low_is_near_the_exact_reference():
+    # d = 0.1 < 1/4: sigma_hat(0) - sigma(0) is asymptotically Gaussian, so
+    # each of the 200 replicates is the exact value times a chi-square(1)
+    # variate, whose mean has sd sqrt(2 / 200) times the exact value (less
+    # than the true sd by O(1/n)).  The stderr column is the sample sd of
+    # the same values, which shrinks with the mean on a low draw.
+    _, rows = read_artifact(pathlib.Path(__file__).resolve().parent.parent
+                            / "out" / "covmoment_low.csv")
+    assert len(rows) == 4
+    for row in rows:
+        exact = lp.covmoment_exact(0.1, int(row["n"]))
+        assert row["exact"] == exact
+        assert abs(row["estimate"] - exact) <= 4.0 * math.sqrt(2 / 200) * exact
 
 
 def test_covmoment_scaling_slopes(covmoment_reports):

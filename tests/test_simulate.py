@@ -6,10 +6,10 @@ import pytest
 import longpred as lp
 from longpred.errors import NotPositiveDefiniteError
 from longpred.rng import derive_rng, normals
-from longpred.simulate import (EIG_TOL_FACTOR, circulant_eigenvalues,
-                               path_blocks)
+from longpred.simulate import (EIG_TOL_FACTOR, _five_smooth,
+                               circulant_eigenvalues, path_blocks)
 
-from circulant_oracle import circulant_paths_inline
+from circulant_oracle import circulant_paths_inline, five_smooth_brute
 from levinson_oracle import innovations_paths_inline
 
 
@@ -204,19 +204,71 @@ def test_length_one_path_is_one_scaled_variate(method):
     assert path.sim_method == "innovations"
 
 
+def test_five_smooth_matches_brute_force():
+    assert [_five_smooth(n) for n in range(2, 20001)] == [
+        five_smooth_brute(n) for n in range(2, 20001)]
+
+
 @pytest.mark.parametrize("d, n, reps", [(0.3, 2, 5), (0.45, 3, 7),
                                          (0.1, 8192, 20), (0.4, 32768, 4),
-                                         (0.25, 64, 37)])
+                                         (0.25, 64, 37), (0.4, 16, 5),
+                                         (0.3, 17, 17), (0.45, 4097, 3)])
 def test_circulant_paths_match_the_full_complex_embedding(d, n, reps):
     # the half-spectrum real transform, in blocks, against the whole
-    # Hermitian vector under one complex FFT; 37 replicates cross two block
-    # boundaries
+    # Hermitian vector of length 2h under one complex FFT; 37 replicates
+    # cross two block boundaries, and n = 16, 17 and 4097 have h = 15, 16
+    # and 4096
     acov = fi_acov(d, n - 1)
     paths = lp.gaussian_paths(acov, n, reps, 2024, stream=(7,),
                               method="circulant")
     x = np.array([p.values for p in paths])
     oracle = circulant_paths_inline(acov, n, reps, 2024, stream=(7,))
     assert np.max(np.abs(x - oracle)) <= 1e-13 * np.sqrt(acov.values[0])
+
+
+@pytest.mark.parametrize("model", [
+    lp.LongMemoryModel.fi(0.3),
+    lp.LongMemoryModel.farima(0.3, ar=(0.5,), ma=(0.3,)),
+])
+@pytest.mark.parametrize("n", [2, 17, 1000, 4096])
+def test_paths_do_not_depend_on_the_lags_passed(model, n):
+    # the embedding needs lags 0..h, h = 5-smooth >= n - 1; with n - 1 lags
+    # the sampler takes the rest from the model, and with more it ignores
+    # them
+    h = _five_smooth(n - 1)
+    paths = [np.array([p.values for p in lp.gaussian_paths(
+        lp.exact_autocov(model, lags), n, 5, 41, stream=(3,))])
+        for lags in (n - 1, h, 2 * n)]
+    assert np.array_equal(paths[0], paths[1])
+    assert np.array_equal(paths[0], paths[2])
+
+
+def test_embedding_without_a_model_needs_every_lag():
+    # n = 1000 has h = 1000: n lags and no model cannot fill the embedding,
+    # while the innovations sampler needs only the n lags it has
+    acov = lp.AutocovSeq(values=fi_acov(0.3, 999).values, source="exact")
+    with pytest.raises(ValueError, match=r"lags 0\.\.1000"):
+        lp.gaussian_paths(acov, 1000, 1, seed=1)
+    paths = lp.gaussian_paths(acov, 1000, 1, seed=1, method="innovations")
+    assert paths[0].sim_method == "innovations"
+
+
+@pytest.mark.parametrize("d", [0.01, 0.25, 0.45, 0.499])
+def test_fi_embedding_stays_circulant_at_8192(d):
+    acov = fi_acov(d, 8191)
+    assert lp.gaussian_paths(acov, 8192, 1, seed=1)[0].sim_method == (
+        "circulant")
+
+
+def test_farima_with_an_ar_root_near_one_still_falls_back():
+    # FARIMA(0.4; ar 0.99) at n = 1024: sigma(h) is still large at the
+    # embedding's far end, so the circulant has a negative eigenvalue
+    acov = lp.exact_autocov(lp.LongMemoryModel.farima(0.4, ar=(0.99,)), 1023)
+    eig = circulant_eigenvalues(acov, 1024)
+    assert eig.size == 2048
+    assert eig.min() < -EIG_TOL_FACTOR * eig.max()
+    assert lp.gaussian_paths(acov, 1024, 1, seed=1)[0].sim_method == (
+        "innovations")
 
 
 def test_circulant_sampler_memory_is_the_paths_plus_a_block():
