@@ -186,12 +186,48 @@ def _arma_polys(model):
 
 
 def _arma_filter(b, a, x):
-    """lfilter(b, a, x), the ARMA part of every FARIMA sequence.  Only
-    FARIMA models filter, so scipy.signal, which pulls in scipy.stats,
-    scipy.interpolate and scipy.optimize, loads on the first call rather
-    than on ``import longpred``."""
-    from scipy.signal import lfilter
-    return lfilter(b, a, x)
+    """b(B)/a(B) applied to x, with a_0 = 1: the ARMA part of every FARIMA
+    sequence, in float64 or wide precision (b, a and x of one dtype).
+
+    The output equals SciPy's ``lfilter(b, a, x)`` bit for bit, because it
+    does lfilter's arithmetic in lfilter's order: a convolution when
+    a = [1], and otherwise the direct form II transposed recursion with the
+    shorter polynomial padded with zeros, per sample
+        y = z_0 + b_0 x,  z_k = (z_{k+1} + x b_{k+1}) - y a_{k+1},
+    the last delay without the z_{k+1} term.  For the impulse response of
+    a first-order part that recursion is the running product
+    [b_0, c, c phi, c phi^2, ...], c = b_1 - b_0 a_1 and phi = -a_1.
+    Doing it here keeps SciPy's signal package, which pulls in its stats,
+    interpolate and optimize packages, out of the process.
+    """
+    if a.size == 1:
+        return np.convolve(b, x)[: x.size]
+    # float64 steps run on Python floats, which round as IEEE doubles too;
+    # wide ones on numpy scalars, since tolist() would round them to double
+    items = np.ndarray.tolist if x.dtype == np.float64 else list
+    b, a = items(b), items(a)
+    L = max(len(a), len(b))
+    b += [0 * b[0]] * (L - len(b))
+    a += [0 * b[0]] * (L - len(a))
+    if L == 2 and x.size > 1 and x[0] == 1 and np.count_nonzero(x) == 1:
+        y = np.empty(x.size, x.dtype)
+        y[0] = b[0]
+        y[1] = b[1] - b[0] * a[1]
+        y[2:] = -a[1]
+        np.multiply.accumulate(y[1:], out=y[1:])
+        y[1:] += 0  # z_0 + b_0 * 0 is never -0, the product can be
+        return y
+    b0, b, a = b[0], b[1:], a[1:]
+    z = [0 * b0] * (L - 1)
+    last = L - 2
+    y = []
+    for xn in items(x):
+        yn = z[0] + b0 * xn
+        for k in range(last):
+            z[k] = z[k + 1] + xn * b[k] - yn * a[k]
+        z[last] = xn * b[last] - yn * a[last]
+        y.append(yn)
+    return np.array(y, x.dtype)
 
 
 def ar_inf_coeffs(model, n):

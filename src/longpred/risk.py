@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.special import gammaln
 
 from .errors import (AccuracyError, DomainError, InternalConsistencyError,
@@ -301,6 +300,7 @@ def h_covariance_check(d, k, T, reps, seed):
         for x in block])
     S = T * (diffs.T @ diffs) / reps
 
+    from scipy.linalg import eigh  # deferred, as in toeplitz_solve
     ratios = {}
     for c in (2.0, 4.0):
         w = eigh(S, c * M, eigvals_only=True)
@@ -340,6 +340,9 @@ def _mc_scaling(grid, reps, point):
             f"{reps} replicates are too few for a slope conclusion (need >= 50)"
         )
     grid = sorted(int(g) for g in grid)
+    if len(set(grid)) < 2:
+        raise ValueError(f"a slope needs at least two distinct grid values, "
+                         f"got {grid}")
     means = np.empty(len(grid))
     stderrs = np.empty(len(grid))
     for i, g in enumerate(grid):

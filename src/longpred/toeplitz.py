@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, NotPositiveDefiniteError
@@ -188,10 +187,12 @@ def toeplitz_solve(acov, rhs, k, rtol=1e-8):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != k:
         raise ValueError("rhs length must equal k")
+    # deferred, so that import longpred loads numpy and scipy.special only
+    from scipy.linalg import cho_factor, cho_solve
     mat = acov.toeplitz(k)
     try:
         factor = cho_factor(mat, lower=True)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(k, f"order-{k} Toeplitz matrix is not "
                                           f"positive definite") from exc
     x = cho_solve(factor, rhs)

@@ -1,12 +1,12 @@
 """Reference FARIMA sequences that call ``scipy.signal.lfilter`` directly.
 
 The package filters every FARIMA sequence through its ARMA part in one
-private helper, ``fraccoeff._arma_filter``, which loads scipy.signal only on
-its first call.  These copies write the filter call out inline, with the
-same arguments and dtypes as the package's callers, and otherwise follow
-the package's value paths operation for operation (the FI factors come
-from the package's own FI helpers), so on any machine their outputs must
-equal the package's bit for bit.
+private helper, ``fraccoeff._arma_filter``, which does lfilter's arithmetic
+in lfilter's order without importing scipy.signal.  These copies write the
+lfilter call out inline, with the same arguments and dtypes as the
+package's callers, and otherwise follow the package's value paths operation
+for operation (the FI factors come from the package's own FI helpers), so
+on any machine their outputs must equal the package's bit for bit.
 """
 
 import math

@@ -116,6 +116,21 @@ def test_unsorted_grid_rejected(tmp_path):
                 "--out", tmp_path / "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("command, grid", [
+    (["covmoment-mc", "--d", 0.1, "--n-grid"], "256"),
+    (["covmoment-mc", "--d", 0.1, "--n-grid"], "1024,1024"),
+    (["coeffcov-mc", "--d", 0.1, "--k", 4, "--t-grid"], "1024"),
+    (["coeffcov-mc", "--d", 0.1, "--k", 4, "--t-grid"], "512,512"),
+])
+def test_monte_carlo_slope_needs_two_grid_values(tmp_path, capsys, command,
+                                                 grid):
+    # one distinct grid value leaves the log-log slope 0/0
+    out = tmp_path / "mc.csv"
+    assert run(command + [grid, "--reps", 50, "--out", out]) == 2
+    assert "two distinct grid values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_whittle_mc_schema(tmp_path):
     out = tmp_path / "wm.csv"
     assert run(["whittle-mc", "--d", 0.3, "--t", 1024, "--reps", 5,
@@ -427,18 +442,20 @@ import longpred.cli
 assert lp.cli.main(["trunc-rate", "--d", "0.2,0.4", "--k-grid", "10,20",
                     "--out", sys.argv[1]]) == 0
 lp.covmoment_scaling(0.2, [64, 128], 50, seed=1)
-fi_loaded = "scipy.signal" in sys.modules
 model = lp.LongMemoryModel.farima(0.3, ar=(0.5,), ma=(0.3,))
 assert lp.exact_autocov(model, 20).values[0] > 0
-print(json.dumps([fi_loaded, "scipy.signal" in sys.modules]))
+assert lp.truncation_excess(model, 20) > 0
+assert lp.ark_excess(model, 20) > 0
+print(json.dumps([m in sys.modules for m in ("scipy.signal", "scipy.linalg")]))
 """
 
 
-def test_fi_work_leaves_scipy_signal_unloaded(tmp_path):
-    # scipy.signal (and with it scipy.stats, scipy.interpolate and
-    # scipy.optimize) serves only the ARMA filter of FARIMA models
+def test_fi_and_farima_work_leave_scipy_signal_and_linalg_unloaded(tmp_path):
+    # the ARMA filter of FARIMA models runs in-house, and scipy.linalg
+    # serves only toeplitz_solve and h_covariance_check; scipy.signal
+    # would pull in scipy.stats, scipy.interpolate and scipy.optimize
     out = run_fresh(IMPORT_GUARD, tmp_path / "trunc.csv")
-    assert json.loads(out) == [False, True]
+    assert json.loads(out) == [False, False]
 
 
 def test_farima_simulate_in_fresh_interpreter_matches_in_process(tmp_path):

@@ -4,11 +4,13 @@ import time
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.special import gamma as Gamma
 
 import longpred as lp
 from longpred.errors import AccuracyError, DomainError
-from longpred.fraccoeff import _clamp_subnormal, model_from_json, model_to_json
+from longpred.fraccoeff import (_arma_filter, _arma_polys, _clamp_subnormal,
+                                _fi_ar_values, model_from_json, model_to_json)
 
 from farima_filter_oracle import (MODELS, ar_inf_inline,
                                   farima_autocov_inline, ma_inf_inline)
@@ -243,6 +245,33 @@ def test_farima_sequences_equal_inline_lfilter_bit_for_bit(model):
                           ma_inf_inline(model, n))
     assert np.array_equal(lp.exact_autocov(model, n).values,
                           farima_autocov_inline(model, n).astype(float))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("ar, ma", [
+    ((0.5, -0.3), ()),        # AR(2)
+    ((), (0.4, -0.3)),        # MA(2)
+    ((0.6, -0.2), (0.3,)),    # ARMA(2, 1): len(b) != len(a) both ways
+    ((-0.9,), ()),            # negative AR root
+    ((), (0.3,)),             # MA only
+    ((0.9,), ()),             # H = 395, impulse length 2H + 1
+    ((0.5,), (0.3,)),
+])
+def test_arma_filter_equals_lfilter_bit_for_bit(ar, ma, dtype):
+    # the in-house recursion must reproduce lfilter's rounding, sign of
+    # zero included, on the impulse (running-product path) and on FI
+    # coefficients, both ways round through the polynomials
+    phi, theta = _arma_polys(lp.LongMemoryModel.farima(0.3, ar=ar, ma=ma))
+    for n in (1, 2, 3, 2 * 395 + 1):
+        impulse = np.zeros(n, dtype)
+        impulse[0] = 1.0
+        for x in (impulse, _fi_ar_values(dtype(0.3), n - 1)):
+            for b, a in ((phi, theta), (theta, phi)):
+                b, a = b.astype(dtype), a.astype(dtype)
+                got, ref = _arma_filter(b, a, x), lfilter(b, a, x)
+                assert got.dtype == ref.dtype == dtype
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_ar_root_near_unit_circle_raises_at_once():
