@@ -27,11 +27,12 @@ from .predictor import (ark_plugin_predict, ark_predict, wk_plugin_predict,
                         wk_truncated_predict)
 from .series import SamplePath
 from .simulate import path_blocks
-from .spectral import whittle_fit
+from .spectral import _MIN_N, whittle_fit
 from .toeplitz import durbin_levinson
 from .risk import (ark_excess, c_of_d, coeffcov_scaling, covmoment_exact,
                    covmoment_scaling, r_of_k, truncation_excess,
-                   wk_plugin_scaling, _loglog_slope)
+                   wk_plugin_scaling, _coeffcov_point, _loglog_slope,
+                   _mc_means, _wk_plugin_point)
 
 
 class UsageError(ValueError):
@@ -120,6 +121,26 @@ def _parse_int_grid(text):
     return [int(v) for v in _parse_grid(text)]
 
 
+def _slope_grid(text, flag):
+    """The int grid of a command that reports a log-log slope over it."""
+    grid = _parse_int_grid(text)
+    if len(set(grid)) < 2:
+        raise UsageError(f"{flag}: a slope needs at least two distinct grid "
+                         f"values, got {text!r}")
+    return grid
+
+
+def _check_training(lengths, flag, k=None, k_flag=None, whittle=False):
+    """Usage errors for training paths too short for their fit: an order-k
+    Yule-Walker fit needs T > k, a Whittle fit T >= 64."""
+    if k is not None and min(lengths) <= k:
+        raise UsageError(f"{flag} values must exceed {k_flag} = {k}: an "
+                         f"order-{k} Yule-Walker fit needs T > k")
+    if whittle and min(lengths) < _MIN_N:
+        raise UsageError(f"{flag} values must be >= {_MIN_N} for a Whittle "
+                         f"fit")
+
+
 def _load_model(source):
     """Model from an inline JSON object or a path to a JSON file."""
     if source is None:
@@ -181,7 +202,7 @@ def _cmd_rate(args, config):
     """trunc-rate and ark-rate: ``args.excess(model, k)`` over the k grid
     and its log-log slope in k, for each d."""
     d_grid = _parse_grid(args.d)
-    k_grid = _parse_int_grid(args.k_grid)
+    k_grid = _slope_grid(args.k_grid, "--k-grid")
     rows = []
     for d in d_grid:
         model = LongMemoryModel.fi(d)
@@ -204,15 +225,19 @@ def _slope_rows(report):
 
 def _cmd_scaling(args, config):
     """estimation-error and coeffcov-mc: ``args.scaling`` over the T grid."""
-    report = args.scaling(args.d, args.k, _parse_int_grid(args.t_grid),
-                          args.reps, args.seed)
+    t_grid = _slope_grid(args.t_grid, "--t-grid")
+    if args.whittle:
+        _check_training(t_grid, "--t-grid", whittle=True)
+    else:
+        _check_training(t_grid, "--t-grid", k=args.k, k_flag="--k")
+    report = args.scaling(args.d, args.k, t_grid, args.reps, args.seed)
     write_artifact(args.out, ["T", "estimate", "stderr", "fitted_slope"],
                    _slope_rows(report), args.seed, config)
     return 0
 
 
 def _cmd_covmoment_mc(args, config):
-    report = covmoment_scaling(args.d, _parse_int_grid(args.n_grid),
+    report = covmoment_scaling(args.d, _slope_grid(args.n_grid, "--n-grid"),
                                args.reps, args.seed)
     rows = [(n, est, se, covmoment_exact(args.d, n), slope)
             for n, est, se, slope in _slope_rows(report)]
@@ -223,6 +248,7 @@ def _cmd_covmoment_mc(args, config):
 
 
 def _cmd_whittle_mc(args, config):
+    _check_training([args.t], "--t", whittle=True)
     model = LongMemoryModel.fi(args.d)
     acov = exact_autocov(model, args.t - 1)
     rows = []
@@ -297,22 +323,24 @@ def _cmd_fit(args, config):
 
 
 def _cmd_total_error(args, config):
-    """Method error vs estimation error over a (k, T) grid, both predictors."""
+    """Method error vs estimation error over a (k, T) grid, both predictors:
+    the Monte Carlo means without a slope fit, so one T is enough."""
     k_grid = _parse_int_grid(args.k_grid)
     t_grid = _parse_int_grid(args.t_grid)
+    _check_training(t_grid, "--t-grid", k=max(k_grid), k_flag="--k-grid",
+                    whittle=True)
     model = LongMemoryModel.fi(args.d)
     rows = []
     for k in k_grid:
         trunc = truncation_excess(model, k)
         ark = ark_excess(model, k)
-        wk_est = wk_plugin_scaling(args.d, k, t_grid, args.reps, args.seed)
-        ark_est = coeffcov_scaling(args.d, k, t_grid, args.reps, args.seed)
-        for i, T in enumerate(t_grid):
-            rows.append((
-                k, T,
-                trunc, wk_est.estimates[i], trunc + wk_est.estimates[i],
-                ark, ark_est.estimates[i], ark + ark_est.estimates[i],
-            ))
+        _, wk_est, _ = _mc_means(t_grid, args.reps, _wk_plugin_point(
+            args.d, k, t_grid, args.reps, args.seed))
+        _, ark_est, _ = _mc_means(t_grid, args.reps, _coeffcov_point(
+            args.d, k, t_grid, args.reps, args.seed))
+        for T, wk_mse, ark_mse in zip(t_grid, wk_est, ark_est):
+            rows.append((k, T, trunc, wk_mse, trunc + wk_mse,
+                         ark, ark_mse, ark + ark_mse))
     write_artifact(
         args.out,
         ["k", "T", "wk_method_excess", "wk_estimation_mse", "wk_total",
@@ -368,13 +396,14 @@ def _build_parser():
     p.add_argument("--d", type=str, default="0.2,0.3")
     p.add_argument("--k-grid", type=str, default="100,200,400,800")
 
-    for name, summary, scaling in (
+    for name, summary, scaling, whittle in (
             ("estimation-error",
              "wk-plugin vs exact predictor MSE scaling in T",
-             wk_plugin_scaling),
+             wk_plugin_scaling, True),
             ("coeffcov-mc", "ark-plugin vs exact predictor MSE scaling in T",
-             coeffcov_scaling)):
-        p = command(name, summary, _cmd_scaling, reps=200, scaling=scaling)
+             coeffcov_scaling, False)):
+        p = command(name, summary, _cmd_scaling, reps=200, scaling=scaling,
+                    whittle=whittle)
         p.add_argument("--d", type=float, default=0.1)
         p.add_argument("--k", type=int, default=8)
         p.add_argument("--t-grid", type=str, default="1024,2048,4096,8192")

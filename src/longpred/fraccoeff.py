@@ -41,6 +41,12 @@ _WIDE_EPS = float(np.finfo(_WIDE).eps)
 _ARMA_TAIL = 2.0 ** -60
 _H_MAX = 1 << 13
 _AUTOCOV_RTOL = 1e-8  # per lag, certified by exact_autocov for FARIMA
+# the FI gamma-ratio series sums 20 terms, the last below 9^-19 of the
+# first; SciPy's Hurwitz zeta(2m, q) is charged twice its largest error
+# measured against an mpmath Euler-Maclaurin sum, at most (m + 2) eps at
+# 6000 q in [1.5, 1e6]
+_FI_SERIES_TERMS = 20
+_ZETA_RTOL = _EPS * (2.0 * np.arange(1, _FI_SERIES_TERMS + 1) + 4.0)
 
 
 def _roundoff(n, eps=_EPS):
@@ -267,19 +273,40 @@ def _fi_acf(d, m):
     return r
 
 
+def _fi_log_ratio(d, k):
+    """log(v(k)/sigma2) = log(Gamma(k+1) Gamma(k+1-2d) / Gamma(k+1-d)^2) of
+    FI(d), k >= 0, and a bound on its absolute error.
+
+    Hosking's partials d/(t - d) (Biometrika 68, 1981) telescope:
+    v(k)/sigma2 = prod_{t>k} (1 - d^2/(t - d)^2)^-1, whose log is the
+    all-positive series sum_{m>=1} (d^2m/m) zeta(2m, k+1-d) (Hurwitz zeta),
+    falling at least 9-fold per term for k >= 1.  At k = 0 the t = 1 factor
+    is taken exactly as 1 + d^2/(1-2d).  The bound adds the remainder (at
+    most 1/8 of the last term), each term's roundings, including that of q
+    through zeta's slope 2m, and SciPy's zeta error for its order, the
+    rounded sum, and one tiny for terms that underflow.
+    """
+    q = k + 1.0 - d if k else 2.0 - d
+    m = np.arange(1, _FI_SERIES_TERMS + 1)
+    terms = (d * d) ** m / m * zeta(2.0 * m, q)
+    log_r = math.fsum(terms)
+    err = (float(np.dot(terms, _ZETA_RTOL + _EPS * (1.5 * m + 5.0)))
+           + terms[-1] / 8.0 + _TINY + 0.5 * _EPS * log_r)
+    if not k:
+        x = d * d / (1.0 - 2.0 * d)
+        head = math.log1p(x)
+        log_r += head
+        err += _EPS * (1.5 * x / (1.0 + x) + head + 0.5 * log_r)
+    return log_r, err
+
+
 def _fi_delta(d):
     """delta = sigma(0)/sigma2 - 1 = Gamma(1-2d)/Gamma(1-d)^2 - 1 of FI(d)
-    and a bound on its error.  The log-gamma difference loses delta ~ 1.6 d^2
-    as d -> 0; up to d = 1/4 its series sum_{n>=2} zeta(n) (2^n - 2) d^n / n
-    keeps full precision."""
-    if d <= 0.25:
-        n = np.arange(2, 64)
-        delta = math.expm1(math.fsum(zeta(n) * (2.0 ** n - 2.0) * d ** n / n))
-        return delta, _roundoff(8) * delta
-    g1, g2 = gammaln(1.0 - 2.0 * d), gammaln(1.0 - d)
-    delta = math.expm1(g1 - 2.0 * g2)
-    return delta, _roundoff(8) * ((1.0 + delta) * (abs(g1) + 2.0 * abs(g2))
-                                  + delta)
+    and a bound on its error: expm1 of the k = 0 gamma-ratio series, which
+    keeps full precision as d -> 0 and as d -> 1/2."""
+    log_r, err = _fi_log_ratio(d, 0)
+    delta = math.expm1(log_r)
+    return delta, err * (1.0 + delta) + _EPS * delta
 
 
 def _farima_autocov(model, m):

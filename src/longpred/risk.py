@@ -28,13 +28,13 @@ from .errors import (AccuracyError, DomainError, InternalConsistencyError,
                      StatisticalPowerError)
 from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
                         _arma_filter, _arma_polys, _farima_autocov, _fi_acf,
-                        _fi_ar_values, _fi_delta, _log_abs_gamma_neg,
-                        _roundoff, ar_inf_coeffs, exact_autocov)
+                        _fi_ar_values, _fi_delta, _fi_log_ratio,
+                        _log_abs_gamma_neg, _roundoff, ar_inf_coeffs,
+                        exact_autocov)
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
-from .toeplitz import (_fi_log_innovation, durbin_levinson,
-                       empirical_autocov, fi_ark_closed_form,
+from .toeplitz import (durbin_levinson, empirical_autocov, fi_ark_closed_form,
                        innovation_variance_quadratic_form, toeplitz_solve)
 
 # relative accuracy certified by truncation_excess and, for FI, ark_excess
@@ -128,19 +128,19 @@ def ark_excess(model, k):
     """v(k) - sigma_eps^2 of the order-k Yule-Walker predictor, cross-checked
     against the quadratic form of its coefficients.
 
-    For fractional noise v(k)/sigma2 = exp(L) with L the closed-form sum of
-    ``toeplitz._fi_log_innovation``, and the excess is sigma2 expm1(L), so
-    nothing of the size of sigma(0) cancels.  Its round-off bound, the error
-    of L through the slope exp(L) plus one rounding each of expm1 and the
-    scaling, must stay below 1e-9 relative, or AccuracyError is raised
-    before the O(k^2) cross-check.  FARIMA models run Durbin-Levinson on the
-    exact autocovariances.
+    For fractional noise v(k)/sigma2 = exp(L) with L the all-positive
+    gamma-ratio series of ``fraccoeff._fi_log_ratio``, and the excess is
+    sigma2 expm1(L), so nothing of the size of sigma(0) cancels.  Its error
+    bound, that of L through the slope exp(L) plus one rounding each of
+    expm1 and the scaling, must stay below 1e-9 relative, or AccuracyError
+    is raised before the O(k^2) cross-check.  FARIMA models run
+    Durbin-Levinson on the exact autocovariances.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
     acov = exact_autocov(model, k)
     if model.is_pure_fractional:
-        _, log_v, log_err = _fi_log_innovation(model.d, k)
+        log_v, log_err = _fi_log_ratio(model.d, k)
         value = math.expm1(log_v)
         err = log_err * math.exp(log_v) + 1.5 * _EPS * abs(value)
         if err > _ARK_RTOL * abs(value):
@@ -329,26 +329,30 @@ def _loglog_slope(grid, means, stderrs):
     return slope, float(math.sqrt(var))
 
 
-def _mc_scaling(grid, reps, point):
-    """SlopeReport of the Monte Carlo means over the grid, sorted ascending.
-
-    ``point(i, g)`` returns the ``reps`` per-replicate values at the i-th
-    grid value g.
-    """
+def _mc_means(grid, reps, point):
+    """The grid sorted ascending, with the Monte Carlo means and stderrs of
+    ``point(i, g)``, the ``reps`` per-replicate values at the i-th grid
+    value g."""
     if reps < 50:
         raise StatisticalPowerError(
-            f"{reps} replicates are too few for a slope conclusion (need >= 50)"
-        )
+            f"{reps} replicates are too few for a Monte Carlo conclusion "
+            f"(need >= 50)")
     grid = sorted(int(g) for g in grid)
-    if len(set(grid)) < 2:
-        raise ValueError(f"a slope needs at least two distinct grid values, "
-                         f"got {grid}")
     means = np.empty(len(grid))
     stderrs = np.empty(len(grid))
     for i, g in enumerate(grid):
         vals = np.asarray(point(i, g))
         means[i] = float(np.mean(vals))
         stderrs[i] = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+    return grid, means, stderrs
+
+
+def _mc_scaling(grid, reps, point):
+    """SlopeReport of ``_mc_means`` over the grid and its log-log slope."""
+    if len(set(int(g) for g in grid)) < 2:
+        raise ValueError(f"a slope needs at least two distinct grid values, "
+                         f"got {sorted(int(g) for g in grid)}")
+    grid, means, stderrs = _mc_means(grid, reps, point)
     slope, slope_se = _loglog_slope(grid, means, stderrs)
     return SlopeReport(grid=np.asarray(grid, dtype=float), estimates=means,
                        stderrs=stderrs, slope=slope, slope_stderr=slope_se)
@@ -382,6 +386,25 @@ def _forecast_errors(exp, acov_train, acov_window, estimate, exact, reps,
     return point
 
 
+def _coeffcov_point(d, k, T_grid, reps, seed):
+    """``point(i, T)`` of ``coeffcov_scaling``."""
+    model = LongMemoryModel.fi(d)
+    acov_k = exact_autocov(model, k)
+    point = _forecast_errors(0, exact_autocov(model, max(map(int, T_grid))),
+                             acov_k, _yule_walker_phi,
+                             durbin_levinson(acov_k, k).phi, reps, seed)
+    return lambda i, T: point(i, T, k)
+
+
+def _wk_plugin_point(d, k, T_grid, reps, seed):
+    """``point(i, T)`` of ``wk_plugin_scaling``."""
+    model = LongMemoryModel.fi(d)
+    point = _forecast_errors(1, exact_autocov(model, max(map(int, T_grid))),
+                             exact_autocov(model, k), _whittle_ar,
+                             ar_inf_coeffs(model, k).values[1:], reps, seed)
+    return lambda i, T: point(i, T, k)
+
+
 def coeffcov_scaling(d, k, T_grid, reps, seed):
     """MC estimate of E[(ark-plugin forecast - exact AR(k) forecast)^2]
     over T_grid, with the fitted log-log slope vs T.
@@ -389,22 +412,15 @@ def coeffcov_scaling(d, k, T_grid, reps, seed):
     Expected slopes: -1 for d < 1/4, -1 with a log factor at d = 1/4, and
     4d - 2 for d > 1/4.
     """
-    model = LongMemoryModel.fi(d)
-    acov_k = exact_autocov(model, k)
-    point = _forecast_errors(0, exact_autocov(model, max(map(int, T_grid))),
-                             acov_k, _yule_walker_phi,
-                             durbin_levinson(acov_k, k).phi, reps, seed)
-    return _mc_scaling(T_grid, reps, lambda i, T: point(i, T, k))
+    return _mc_scaling(T_grid, reps,
+                       _coeffcov_point(d, k, T_grid, reps, seed))
 
 
 def wk_plugin_scaling(d, k, T_grid, reps, seed):
     """MC estimate of E[(wk-plugin forecast - exact truncated forecast)^2]
     over T_grid at fixed k, with the fitted log-log slope vs T."""
-    model = LongMemoryModel.fi(d)
-    point = _forecast_errors(1, exact_autocov(model, max(map(int, T_grid))),
-                             exact_autocov(model, k), _whittle_ar,
-                             ar_inf_coeffs(model, k).values[1:], reps, seed)
-    return _mc_scaling(T_grid, reps, lambda i, T: point(i, T, k))
+    return _mc_scaling(T_grid, reps,
+                       _wk_plugin_point(d, k, T_grid, reps, seed))
 
 
 def wk_plugin_order_scaling(d, T, k_grid, reps, seed):

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import DomainError, EstimationError
 
 _ROOT_TOL = 1e-12  # stop once a step in d is this small
+_MIN_N = 64  # the shortest sample whittle_fit accepts
 # Steps after the first 16 are bisections: from a bracket below 1/2 wide, 38
 # halvings reach the tolerance, so a fit makes at most 2 + 17 + 38 = 57
 # derivative evaluations.
@@ -131,8 +132,8 @@ def whittle_fit(sample, d_bounds=(1e-4, 0.5 - 1e-4)):
     ``d_bounds``, or the bound it lies beyond (named in ``at_bound``); see
     the module docstring.  Fully deterministic.
     """
-    if len(sample) < 64:
-        raise ValueError("whittle_fit needs at least 64 observations")
+    if len(sample) < _MIN_N:
+        raise ValueError(f"whittle_fit needs at least {_MIN_N} observations")
     lo, hi = d_bounds
     if not (0.0 < lo < hi < 0.5):
         raise DomainError(f"bounds {d_bounds} must lie inside ]0, 1/2[")

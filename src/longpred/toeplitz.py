@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, NotPositiveDefiniteError
-from .fraccoeff import AutocovSeq, _EPS, _fi_delta, _log_abs_gamma_neg
+from .fraccoeff import AutocovSeq, _fi_log_ratio, _log_abs_gamma_neg
 
 
 @dataclass(frozen=True)
@@ -110,41 +110,6 @@ def empirical_autocov(sample, maxlag, demean=False):
     return AutocovSeq(values=out, source="empirical", model=None)
 
 
-def _fi_log_innovation(d, k):
-    """Partial autocorrelations of FI(d) at orders 1..k, L = log(v(k)/sigma2)
-    and a bound on the absolute error of L.
-
-    The partials are d/(t - d) (Hosking 1981, Biometrika), so
-    v(k) = sigma(0) prod_t (1 - partials_t^2) and
-    L = log1p(delta) + sum_t log1p(-partials_t^2), delta = sigma(0)/sigma2 - 1.
-    Where x = partials_t^2 exceeds 1/2 (only t = 1, for d > 0.414; later
-    partials are below 1/3) the term is log((1 - 2d) / (1 - d)^2) instead:
-    1 - x written as a ratio, so no rounding of x is magnified by the slope
-    1/(1 - x).  The bound charges a log1p term the five roundings of its
-    square (t - d, the quotient, the product) through that slope, the log
-    term the five of its ratio (1 - 2d, 1 - d twice through the square, the
-    square, the quotient), every term two units of its logarithm's own
-    error, the error of delta, and one rounding each of the exactly rounded
-    sum and the final addition.
-    """
-    partials = d / (np.arange(1, k + 1, dtype=float) - d)
-    x = partials * partials
-    terms = np.log1p(-x)
-    # roundings of each term's argument, half units, through log's slope
-    roundings = 5.0 * x / (1.0 - x)
-    if x[0] > 0.5:
-        terms[0] = math.log((1.0 - 2.0 * d) / (1.0 - d) ** 2)
-        roundings[0] = 5.0
-    delta, delta_err = _fi_delta(d)
-    head, tail = math.log1p(delta), math.fsum(terms)
-    log_v = head + tail
-    err = (0.5 * _EPS * float(np.sum(roundings))
-           + _EPS * (2.0 * float(-np.sum(terms)) + 2.0 * abs(head)
-                     + 0.5 * (abs(tail) + abs(log_v)))
-           + delta_err / (1.0 + delta))
-    return partials, log_v, err
-
-
 def fi_ark_closed_form(d, k, sigma2_eps=1.0):
     """Order-k Yule-Walker predictor for fractional noise in closed form.
 
@@ -152,9 +117,9 @@ def fi_ark_closed_form(d, k, sigma2_eps=1.0):
     a_{j,k} = Gamma(k+1) Gamma(j-d) Gamma(k-d-j+1)
               / (Gamma(k-j+1) Gamma(j+1) Gamma(-d) Gamma(k-d+1)),
     all negative; the returned predictor weights are phi_j = -a_{j,k}.
-    The partials d/(t - d) and the innovation variance
-    v(k) = sigma2 exp(log1p(delta) + sum_t log1p(-partials_t^2)) are closed
-    forms too, so no Durbin-Levinson recursion runs: O(k) work.
+    The partials d/(t - d) (Hosking 1981, Biometrika) and the innovation
+    variance v(k) = sigma2 Gamma(k+1) Gamma(k+1-2d)/Gamma(k+1-d)^2 are
+    closed forms too, so no Durbin-Levinson recursion runs: O(k) work.
     """
     if not (0.0 < d < 0.5):
         raise DomainError(f"d={d} outside ]0, 1/2[")
@@ -171,9 +136,9 @@ def fi_ark_closed_form(d, k, sigma2_eps=1.0):
         - gammaln(k - d + 1.0)
     )
     phi = np.exp(log_mag)  # = -a_{j,k} > 0
-    partials, log_v, _ = _fi_log_innovation(d, k)
+    log_v, _ = _fi_log_ratio(d, k)
     return ArkModel(k=k, phi=phi, v=sigma2_eps * math.exp(log_v),
-                    partials=partials)
+                    partials=d / (j - d))
 
 
 def toeplitz_solve(acov, rhs, k, rtol=1e-8):

@@ -131,6 +131,60 @@ def test_monte_carlo_slope_needs_two_grid_values(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["trunc-rate", "--d", 0.3, "--k-grid", 100], "--k-grid"),
+    (["ark-rate", "--d", 0.3, "--k-grid", "100,100"], "--k-grid"),
+    (["estimation-error", "--k", 4, "--t-grid", 256, "--reps", 50],
+     "--t-grid"),
+    (["coeffcov-mc", "--k", 4, "--t-grid", 256, "--reps", 50], "--t-grid"),
+    (["covmoment-mc", "--n-grid", "256,256", "--reps", 50], "--n-grid"),
+])
+def test_a_reported_slope_needs_two_grid_values(tmp_path, capsys, command,
+                                                flag):
+    # every command that writes fitted_slope names the grid flag, and
+    # writes no nan
+    out = tmp_path / "slope.csv"
+    assert run(command + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "two distinct grid values" in err
+    assert not out.exists()
+
+
+def test_total_error_takes_one_training_length(tmp_path):
+    # no slope is fitted, so one T is enough; its rows are those of T = 256
+    # in a longer grid
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    args = ["total-error", "--d", 0.2, "--k-grid", "4,8", "--reps", 50,
+            "--seed", 2]
+    assert run(args + ["--t-grid", 256, "--out", one]) == 0
+    assert run(args + ["--t-grid", "256,512", "--out", two]) == 0
+    _, rows_one = read_artifact(one)
+    _, rows_two = read_artifact(two)
+    assert rows_one == [r for r in rows_two if r["T"] == 256]
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["coeffcov-mc", "--k", 8, "--t-grid", "4,8"], ["--t-grid", "--k"]),
+    (["total-error", "--k-grid", "8,64", "--t-grid", "64,128"],
+     ["--t-grid", "--k-grid"]),
+    (["estimation-error", "--k", 8, "--t-grid", "32,48"],
+     ["--t-grid", "Whittle"]),
+    (["total-error", "--k-grid", 8, "--t-grid", "32,48"],
+     ["--t-grid", "Whittle"]),
+    (["whittle-mc", "--t", 32], ["--t", "Whittle"]),
+])
+def test_training_paths_too_short_for_their_fit(tmp_path, capsys, command,
+                                                flags):
+    # an order-k Yule-Walker fit needs T > k, a Whittle fit T >= 64; the
+    # message names the flags, not the library's internals
+    out = tmp_path / "short.csv"
+    assert run(command + ["--reps", 50, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags), err
+    assert "maxlag" not in err and "whittle_fit" not in err
+    assert not out.exists()
+
+
 def test_whittle_mc_schema(tmp_path):
     out = tmp_path / "wm.csv"
     assert run(["whittle-mc", "--d", 0.3, "--t", 1024, "--reps", 5,
@@ -506,3 +560,20 @@ def test_artifact_mode_follows_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+def test_module_entry_point(tmp_path):
+    # python -m longpred runs cli.main in a fresh interpreter
+    args = ["cd-curve", "--steps", 3, "--d-min", 0.1, "--d-max", 0.2]
+    assert run(args + ["--out", tmp_path / "main.csv"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "longpred", *map(str, args), "--out",
+         str(tmp_path / "module.csv")], env=env, capture_output=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "module.csv").read_bytes()
+            == (tmp_path / "main.csv").read_bytes())
+    proc = subprocess.run([sys.executable, "-m", "longpred"], env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 2

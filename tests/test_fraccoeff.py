@@ -2,15 +2,18 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 from scipy.special import gamma as Gamma
+from scipy.special import zeta
 
 import longpred as lp
 from longpred.errors import AccuracyError, DomainError
-from longpred.fraccoeff import (_arma_filter, _arma_polys, _clamp_subnormal,
-                                _fi_ar_values, model_from_json, model_to_json)
+from longpred.fraccoeff import (_FI_SERIES_TERMS, _ZETA_RTOL, _arma_filter,
+                                _arma_polys, _clamp_subnormal, _fi_ar_values,
+                                model_from_json, model_to_json)
 
 from farima_filter_oracle import (MODELS, ar_inf_inline,
                                   farima_autocov_inline, ma_inf_inline)
@@ -272,6 +275,38 @@ def test_arma_filter_equals_lfilter_bit_for_bit(ar, ma, dtype):
                 assert got.dtype == ref.dtype == dtype
                 assert np.array_equal(got, ref)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def hurwitz_zeta_mpmath(s, q):
+    """zeta(s, q) at 40 digits: s + 30 direct terms, then 30 terms of the
+    Euler-Maclaurin tail.  mpmath's own zeta(s, q) is no reference here:
+    zeta(40, 278.3) is off by 2e-13 even at 100 digits, against this sum
+    and a direct sum of 20 000 terms, which agree to 2e-41."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        n = s + 30
+        a = q + n
+        value = (mpmath.fsum((q + i) ** -s for i in range(n))
+                 + a ** (1 - s) / (s - 1) + a ** -s / 2)
+        rise = mpmath.mpf(s)  # s (s + 1) ... (s + 2j - 2)
+        for j in range(1, 31):
+            value += (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+                      * rise * a ** (1 - s - 2 * j))
+            rise *= (s + 2 * j - 1) * (s + 2 * j)
+        return value
+
+
+def test_scipy_hurwitz_zeta_within_the_charged_error():
+    # the FI gamma-ratio series charges zeta(2m, q), q = k + 1 - d >= 1.5,
+    # the _ZETA_RTOL of its order; SciPy's error peaks just below powers
+    # of two, at about m units
+    q = np.r_[np.geomspace(1.5, 1e6, 40), 2.0 ** np.arange(1, 20) - 0.4]
+    s = 2 * np.arange(1, _FI_SERIES_TERMS + 1)
+    got = zeta(s.astype(float)[:, None], q)
+    rel = np.array([[abs(float(g / hurwitz_zeta_mpmath(int(si), qj) - 1))
+                     for g, qj in zip(row, q)] for row, si in zip(got, s)])
+    charged = _ZETA_RTOL[:, None]
+    assert np.all(rel <= charged), np.max(rel / charged)
 
 
 def test_ar_root_near_unit_circle_raises_at_once():

@@ -12,9 +12,11 @@ from scipy.special import gamma as Gamma
 from scipy.special import gammaln
 
 import longpred as lp
+from longpred import fraccoeff
 from longpred.cli import read_artifact
 from longpred.errors import (AccuracyError, DomainError,
                              InternalConsistencyError, StatisticalPowerError)
+from longpred.fraccoeff import _fi_delta, _fi_log_ratio
 from longpred.risk import (excess_decomposition, h_sandwich,
                            wk_plugin_order_scaling)
 from longpred.tails import powerlaw_tail_sum
@@ -207,27 +209,57 @@ def test_ark_excess_matches_mpmath(d, k):
                                rtol=1e-9)
 
 
-@pytest.mark.parametrize("d, k", [(0.4999, 1000), (0.499, 6400)])
+@pytest.mark.parametrize("d, k", [(0.4999, 1000), (0.499, 6400),
+                                  (0.49, 14000)])
 def test_ark_excess_matches_mpmath_near_half(d, k):
-    # the order-1 term is log(1 (1 - 2d) / (1 - d)^2) here: log1p(-p_1^2)
-    # through its slope 1/(1 - p_1^2) ~ 1250 left the bound at 2.9e-9 for
-    # (0.4999, 1000), so the value was refused
+    # near d = 1/2 the first partial d/(1 - d) is close to 1, and k is
+    # large; the value must still be certified to 1e-9
     value = lp.ark_excess(lp.LongMemoryModel.fi(d, sigma2_eps=2.0), k)
     np.testing.assert_allclose(value, 2.0 * ark_excess_mpmath(d, k),
                                rtol=1e-9)
 
 
-def test_ark_excess_refuses_an_uncertified_order(monkeypatch):
-    # at d = 0.49 the bound grows like k: 4.9e-10 at k = 6400, 1.08e-9 at
-    # k = 14000.  The refusal comes before the O(k^2) cross-check.
+def gamma_ratio_mpmath(d, k):
+    """Gamma(k+1) Gamma(k+1-2d) / Gamma(k+1-d)^2 - 1 at 50 digits."""
+    with mpmath.workdps(50):
+        d = mpmath.mpf(d)
+        return mpmath.expm1(mpmath.loggamma(k + 1)
+                            + mpmath.loggamma(k + 1 - 2 * d)
+                            - 2 * mpmath.loggamma(k + 1 - d))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 10, 100, 1600, 6400, 14000])
+@pytest.mark.parametrize("d", [1e-4, 0.01, 0.1, 0.25, 0.3, 0.45, 0.49,
+                               0.4999])
+def test_fi_gamma_ratio_series_matches_mpmath(d, k):
+    # k = 0 is delta = sigma(0)/sigma2 - 1; k >= 1 the AR(k) excess.  Each
+    # value is certified, its bound holds, and it is within 1e-13 of mpmath
+    exact = gamma_ratio_mpmath(d, k)
+    if k == 0:
+        value, err = _fi_delta(d)
+    else:
+        log_v, log_err = _fi_log_ratio(d, k)
+        err = log_err * math.exp(log_v)
+        value = lp.ark_excess(lp.LongMemoryModel.fi(d, sigma2_eps=2.0), k) / 2
+        assert value == math.expm1(log_v)
+    assert err <= 1e-9 * value
+    assert abs(value - exact) <= err
+    assert abs(value - exact) <= 1e-13 * exact
+
+
+def test_ark_excess_refuses_before_the_cross_check(monkeypatch):
+    # charging every order of SciPy's zeta 1e-8 puts the bound above 1e-9;
+    # the refusal comes before the O(k^2) cross-check
     def no_quadratic_form(acov, model_k):
         raise AssertionError("O(k^2) cross-check ran")
 
     monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
                         no_quadratic_form)
+    monkeypatch.setattr("longpred.fraccoeff._ZETA_RTOL",
+                        fraccoeff._ZETA_RTOL + 1e-8)
     with pytest.raises(AccuracyError) as exc:
-        lp.ark_excess(lp.LongMemoryModel.fi(0.49), 14000)
-    assert 1e-9 < exc.value.achieved < 2e-9
+        lp.ark_excess(lp.LongMemoryModel.fi(0.3), 100)
+    assert 1e-9 < exc.value.achieved < 2e-8
 
 
 def test_k_times_ark_excess_converges_to_d_squared():
