@@ -491,6 +491,12 @@ def _parse(argv):
         raise UsageError("--out is required")
     if "reps" in flags and args.reps < 1:
         raise UsageError("--reps must be >= 1")
+    for name in {"k", "k_grid"} & flags:
+        value = getattr(args, name)
+        orders = _parse_int_grid(value) if isinstance(value, str) else [value]
+        if value is not None and min(orders) < 1:
+            raise UsageError(f"--{name.replace('_', '-')}: an order must be "
+                             f">= 1, got {min(orders)}")
     return args, {name: getattr(args, name) for name in flags}
 
 

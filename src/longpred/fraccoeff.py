@@ -10,9 +10,9 @@ Conventions
   a_0 = 1; an MA-infinity sequence (b_j) satisfies X_n = sum_j b_j eps_{n-j}
   with b_0 = 1.  The two power series are mutual inverses.  For fractional
   noise a_j < 0 and b_j > 0 for every j >= 1.
-* All gamma-function work goes through log-gamma ratio recursions so that
-  indices up to 10^6 never overflow; plain Gamma calls are reserved for
-  test oracles.
+* a_j, b_j and rho(h) come from ratio recursions, so indices up to 10^6
+  never overflow; log-gamma is left only in c_of_d and the FI sigma(0),
+  and plain Gamma calls are reserved for test oracles.
 """
 
 import json
@@ -55,11 +55,6 @@ def _roundoff(n, eps=_EPS):
     2019), failing with probability below 2n exp(-32), where the worst-case
     n u rejects sums of thousands of terms that are accurate to 1e-12."""
     return 4.0 * eps * np.sqrt(n)
-
-
-def _log_abs_gamma_neg(d):
-    # |Gamma(-d)| = Gamma(1-d)/d for 0 < d < 1; Gamma(-d) itself is negative
-    return gammaln(1.0 - d) - math.log(d)
 
 
 def _check_disk_free(coeffs_ascending, name):

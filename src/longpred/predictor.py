@@ -63,7 +63,7 @@ def ark_predict(model_k, window):
     return Forecast(value=value, method="ark", order=k)
 
 
-def wk_plugin_predict(train, window, k, d_bounds=(1e-4, 0.5 - 1e-4)):
+def wk_plugin_predict(train, window, k):
     """Truncated Wiener-Kolmogorov forecast with Whittle-estimated
     coefficients.
 
@@ -72,7 +72,7 @@ def wk_plugin_predict(train, window, k, d_bounds=(1e-4, 0.5 - 1e-4)):
     """
     if window.values.size < k:
         raise ValueError("window shorter than requested order")
-    fit = whittle_fit(train, d_bounds=d_bounds)
+    fit = whittle_fit(train)
     model = LongMemoryModel.fi(fit.d_hat, sigma2_eps=fit.sigma2_hat)
     coeffs = ar_inf_coeffs(model, k)
     recent = SamplePath(values=window.values[-k:])
@@ -80,11 +80,11 @@ def wk_plugin_predict(train, window, k, d_bounds=(1e-4, 0.5 - 1e-4)):
     return Forecast(value=inner.value, method="wk_plugin", order=k)
 
 
-def ark_plugin_predict(train, window, k, demean=False):
+def ark_plugin_predict(train, window, k):
     """AR(k) forecast with coefficients from empirical Yule-Walker equations."""
     if window.values.size < k:
         raise ValueError("window shorter than requested order")
-    acov = empirical_autocov(train, k, demean=demean)
+    acov = empirical_autocov(train, k)
     model_k = durbin_levinson(acov, k)
     inner = ark_predict(model_k, window)
     return Forecast(value=inner.value, method="ark_plugin", order=k)

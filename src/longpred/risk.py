@@ -28,13 +28,13 @@ from .errors import (AccuracyError, DomainError, InternalConsistencyError,
                      StatisticalPowerError)
 from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
                         _arma_filter, _arma_polys, _farima_autocov, _fi_acf,
-                        _fi_ar_values, _fi_delta, _fi_log_ratio,
-                        _log_abs_gamma_neg, _roundoff, ar_inf_coeffs,
-                        exact_autocov)
+                        _fi_ar_values, _fi_delta, _fi_log_ratio, _roundoff,
+                        ar_inf_coeffs, exact_autocov)
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
-from .toeplitz import (durbin_levinson, empirical_autocov, fi_ark_closed_form,
+from .toeplitz import (_toeplitz_matvec, _toeplitz_quadratic_form,
+                       durbin_levinson, empirical_autocov, fi_ark_closed_form,
                        innovation_variance_quadratic_form, toeplitz_solve)
 
 # relative accuracy certified by truncation_excess and, for FI, ark_excess
@@ -170,15 +170,15 @@ def c_of_d(d):
     The constant behaves like d^2 as d -> 0, like
     1 / (pi^2 (1-2d)) as d -> 1/2, and equals 1/(4 pi) at d = 1/4.
 
-    Gamma(-d) is negative but enters squared; everything is evaluated in
-    log space.
+    Gamma(-d) is negative but enters squared, as |Gamma(-d)| =
+    Gamma(1-d)/d; everything is evaluated in log space.
     """
     if not (0.0 < d < 0.5):
         raise DomainError(f"d={d} outside ]0, 1/2[")
     return 2.0 * math.exp(
         gammaln(1.0 - 2.0 * d)
         + gammaln(2.0 * d)
-        - 2.0 * _log_abs_gamma_neg(d)
+        - 2.0 * (gammaln(1.0 - d) - math.log(d))
         - gammaln(d)
         - gammaln(1.0 + d)
     )
@@ -187,26 +187,20 @@ def c_of_d(d):
 def excess_decomposition(d, k, sigma2_eps=1.0):
     """Three-term split of the AR(k) excess for fractional noise.
 
-    term1 = (a_k - a)' Sigma_k (a_k - a) over indices 1..k (the mean-squared
-    distance between the two forecasts), term2 = -2 * term1's cross piece
-    against the tail, term3 = the truncation excess.  All sums are finite
-    thanks to the orthogonality identity; term1 + term2 + term3 equals the
-    AR(k) excess.
+    With delta = a_k - a over indices 1..k: term1 = delta' Sigma_k delta
+    (the mean-squared distance between the two forecasts), term2 =
+    2 delta'(Sigma_{k+1} a)[1:] = -2 * term1's cross piece against the tail,
+    term3 = a' Sigma_{k+1} a - sigma2 = the truncation excess.  All sums are
+    finite thanks to the orthogonality identity and are taken by lag;
+    term1 + term2 + term3 equals the AR(k) excess.
     """
     model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
     a = ar_inf_coeffs(model, k).values
-    ak = np.concatenate([[1.0], fi_ark_closed_form(d, k).phi * -1.0])
-    acov = exact_autocov(model, k)
-
-    delta = ak[1:] - a[1:]
-    term1 = float(delta @ acov.toeplitz(k) @ delta)
-
-    # u(j) = sum_{l>k} a_l sigma(j-l) = sigma2 1{j=0} - sum_{l<=k} a_l sigma(j-l)
-    u = -(acov.toeplitz(k + 1) @ a)
-    u[0] += sigma2_eps
-
-    term2 = float(-2.0 * np.dot(delta, u[1:]))
-    term3 = float(-np.dot(a, u))
+    sig = exact_autocov(model, k).values
+    delta = -fi_ark_closed_form(d, k).phi - a[1:]
+    term1 = _toeplitz_quadratic_form(sig, delta)
+    term2 = 2.0 * float(np.dot(delta, _toeplitz_matvec(sig, a)[1:]))
+    term3 = _toeplitz_quadratic_form(sig, a) - sigma2_eps
     return {"term1": term1, "term2": term2, "term3": term3}
 
 

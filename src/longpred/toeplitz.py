@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import AccuracyError, DomainError, NotPositiveDefiniteError
-from .fraccoeff import AutocovSeq, _fi_log_ratio, _log_abs_gamma_neg
+from .fraccoeff import AutocovSeq, _fi_ar_values, _fi_log_ratio
 
 
 @dataclass(frozen=True)
@@ -113,32 +112,23 @@ def empirical_autocov(sample, maxlag, demean=False):
 def fi_ark_closed_form(d, k, sigma2_eps=1.0):
     """Order-k Yule-Walker predictor for fractional noise in closed form.
 
-    The AR-infinity-convention coefficients are
-    a_{j,k} = Gamma(k+1) Gamma(j-d) Gamma(k-d-j+1)
-              / (Gamma(k-j+1) Gamma(j+1) Gamma(-d) Gamma(k-d+1)),
-    all negative; the returned predictor weights are phi_j = -a_{j,k}.
-    The partials d/(t - d) (Hosking 1981, Biometrika) and the innovation
-    variance v(k) = sigma2 Gamma(k+1) Gamma(k+1-2d)/Gamma(k+1-d)^2 are
-    closed forms too, so no Durbin-Levinson recursion runs: O(k) work.
+    The AR-infinity-convention coefficients a_{j,k} = a_j prod_{i<j}
+    (k-i)/(k-i-d), a_j the AR-infinity ones, are all negative: one running
+    product on a_j's ratio recursion, and no gamma function.  The
+    returned predictor weights are phi_j = -a_{j,k}.  The partials d/(t - d)
+    (Hosking 1981, Biometrika) and the innovation variance v(k) = sigma2
+    Gamma(k+1) Gamma(k+1-2d)/Gamma(k+1-d)^2 are closed forms too, so no
+    Durbin-Levinson recursion runs: O(k) work.
     """
     if not (0.0 < d < 0.5):
         raise DomainError(f"d={d} outside ]0, 1/2[")
     if k < 1:
         raise ValueError("order k must be >= 1")
-    j = np.arange(1, k + 1, dtype=float)
-    log_mag = (
-        gammaln(k + 1.0)
-        + gammaln(j - d)
-        + gammaln(k - d - j + 1.0)
-        - gammaln(k - j + 1.0)
-        - gammaln(j + 1.0)
-        - _log_abs_gamma_neg(d)
-        - gammaln(k - d + 1.0)
-    )
-    phi = np.exp(log_mag)  # = -a_{j,k} > 0
+    i = np.arange(k, dtype=float)
+    phi = -_fi_ar_values(d, k)[1:] * np.cumprod((k - i) / (k - i - d))
     log_v, _ = _fi_log_ratio(d, k)
     return ArkModel(k=k, phi=phi, v=sigma2_eps * math.exp(log_v),
-                    partials=d / (j - d))
+                    partials=d / (i + 1.0 - d))
 
 
 def toeplitz_solve(acov, rhs, k, rtol=1e-8):
@@ -174,26 +164,35 @@ def toeplitz_solve(acov, rhs, k, rtol=1e-8):
     return x
 
 
+def _toeplitz_quadratic_form(sig, x):
+    """x' Sigma x for the Toeplitz matrix of sigma(0..n-1), n = len(x),
+    summed by lag as sigma(0) w_0 + 2 sum_{h>=1} sigma(h) w_h with the lag
+    products w_h = sum_j x_j x_{j+h}, so no n x n matrix is formed."""
+    n = x.size
+    w = np.correlate(x, x, "full")[n - 1 :]
+    return float(sig[0] * w[0] + 2.0 * np.dot(sig[1:n], w[1:]))
+
+
+def _toeplitz_matvec(sig, x):
+    """Sigma x for the Toeplitz matrix of sigma(0..n-1), n = len(x): the
+    convolution of x with the mirrored lags sigma(n-1..1, 0, 1..n-1)."""
+    n = x.size
+    return np.convolve(np.r_[sig[n - 1 : 0 : -1], sig[:n]], x, "valid")
+
+
 def yule_walker_residual(acov, model_k):
     """Max relative residual of the order-k Yule-Walker equations."""
     k = model_k.k
     sig = acov.values
-    mat = acov.toeplitz(k)
     rhs = sig[1 : k + 1]
-    resid = mat @ model_k.phi - rhs
+    resid = _toeplitz_matvec(sig, model_k.phi) - rhs
     return float(np.max(np.abs(resid)) / max(np.max(np.abs(rhs)), sig[0]))
 
 
 def innovation_variance_quadratic_form(acov, model_k):
-    """v(k) recomputed as sigma(0) - 2 phi'rho + phi'Sigma phi.
-
-    phi'Sigma phi is summed by lag, sigma(0) w_0 + 2 sum_{h>=1} sigma(h) w_h
-    with the lag products w_h = sum_j phi_j phi_{j+h}, so no k x k matrix is
-    formed.
-    """
-    k = model_k.k
+    """v(k) recomputed as sigma(0) - 2 phi'rho + phi'Sigma phi, the last
+    term summed by lag."""
     sig = acov.values
     phi = model_k.phi
-    w = np.correlate(phi, phi, "full")[k - 1 :]
-    return float(sig[0] - 2.0 * np.dot(phi, sig[1 : k + 1])
-                 + sig[0] * w[0] + 2.0 * np.dot(sig[1:k], w[1:]))
+    return float(sig[0] - 2.0 * np.dot(phi, sig[1 : model_k.k + 1])
+                 + _toeplitz_quadratic_form(sig, phi))

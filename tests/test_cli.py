@@ -66,6 +66,27 @@ def test_invalid_flag_value_exits_2_without_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["ratio-curve", "--k", 0], "--k"),
+    (["ratio-curve", "--k", -3], "--k"),
+    (["trunc-rate", "--k-grid", "0,1"], "--k-grid"),
+    (["ark-rate", "--k-grid", "0,1"], "--k-grid"),
+    (["coeffcov-mc", "--k", 0, "--t-grid", "256,512", "--reps", 50], "--k"),
+    (["estimation-error", "--k", 0, "--t-grid", "256,512", "--reps", 50],
+     "--k"),
+    (["total-error", "--k-grid", 0, "--t-grid", 256, "--reps", 50],
+     "--k-grid"),
+])
+def test_order_below_one_exits_2_naming_the_flag(tmp_path, capsys, command,
+                                                 flag):
+    # the library's "order k must be >= 1" or "path length must be >= 1"
+    # names no flag
+    out = tmp_path / "never.csv"
+    assert run(command + ["--out", out]) == 2
+    assert f"error: {flag}: an order must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["cd-curve", "--bogus", 1]) == 2
     capsys.readouterr()
@@ -453,6 +474,26 @@ def test_script_config_hashes_match_committed_artifacts(script, count,
     for out, digest in seen:
         meta, _ = read_artifact(out)
         assert meta["config-hash"] == digest, out
+
+
+@pytest.mark.parametrize("script,names", [
+    ("reproduce_curves", ["cd_curve.csv", "ratio_curve.csv"]),
+    ("run_rate_checks", ["trunc_rate.csv", "ark_rate.csv"])])
+def test_analytic_scripts_regenerate_committed_artifacts(script, names,
+                                                         tmp_path,
+                                                         monkeypatch):
+    # the analytic artifacts hold no Monte Carlo, so a rerun of their
+    # script must give the committed bytes
+    spec = importlib.util.spec_from_file_location(
+        script, ROOT / "scripts" / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    assert module.run() == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert ((tmp_path / name).read_bytes()
+                == (ROOT / "out" / name).read_bytes()), name
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

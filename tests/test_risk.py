@@ -352,6 +352,41 @@ def test_ratio_routes_agree_on_grid():
             np.testing.assert_allclose(lp.r_of_k(d, k), r_closed, rtol=1e-9)
 
 
+def ratio_mpmath(d, k):
+    """(trunc - ark)/trunc of FI(d) at 40 digits: the truncation excess as
+    the double sum sum_{j,l<=k} a_j a_l sigma(j-l) - 1 with a and sigma from
+    their ratio recursions, the AR(k) excess as its gamma ratio."""
+    with mpmath.workdps(40):
+        d = mpmath.mpf(d)
+        a, rho = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for j in range(k):
+            a.append(a[-1] * (j - d) / (j + 1))
+            rho.append(rho[-1] * (j + d) / (j + 1 - d))
+        sigma0 = mpmath.gamma(1 - 2 * d) / mpmath.gamma(1 - d) ** 2
+        w = [mpmath.fdot(a[: k + 1 - h], a[h:]) for h in range(k + 1)]
+        trunc = sigma0 * (w[0] + 2 * mpmath.fdot(w[1:], rho[1:])) - 1
+        lg = mpmath.loggamma
+        ark = mpmath.expm1(lg(k + 1) + lg(k + 1 - 2 * d) - 2 * lg(k + 1 - d))
+        return float((trunc - ark) / trunc)
+
+
+@pytest.mark.parametrize("k", [10, 200])
+@pytest.mark.parametrize("d", [0.05, 0.3, 0.45])
+def test_ratio_matches_mpmath(d, k):
+    assert lp.r_of_k(d, k) == pytest.approx(ratio_mpmath(d, k), rel=1e-9)
+
+
+def test_decomposition_forms_no_order_k_matrix():
+    # two dense 3200 x 3200 matrices would trace about 160 MiB
+    tracemalloc.start()
+    try:
+        excess_decomposition(0.3, 3200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def test_ratio_small_memory_is_small():
     assert lp.r_of_k(0.05, 10) < 0.5
 

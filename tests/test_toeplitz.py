@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -205,6 +206,30 @@ def test_closed_form_partials_and_v_match_the_recursion(d, k):
     np.testing.assert_allclose(closed.partials, by_recursion.partials,
                                rtol=1e-10)
     np.testing.assert_allclose(closed.v, by_recursion.v, rtol=1e-12)
+
+
+def ark_coeffs_mpmath(d, k, j):
+    """phi_j = -a_{j,k} of FI(d) at 40 digits from its gamma closed form
+    Gamma(k+1) Gamma(j-d) Gamma(k-d-j+1)
+    / (Gamma(k-j+1) Gamma(j+1) |Gamma(-d)| Gamma(k-d+1)),
+    with |Gamma(-d)| = Gamma(1-d)/d."""
+    lg = mpmath.loggamma
+    with mpmath.workdps(40):
+        d = mpmath.mpf(d)
+        head = lg(k + 1) - lg(k + 1 - d) - lg(1 - d) + mpmath.log(d)
+        return np.array([float(mpmath.exp(head + lg(i - d) + lg(k + 1 - d - i)
+                                          - lg(k + 1 - i) - lg(i + 1)))
+                         for i in j])
+
+
+@pytest.mark.parametrize("k", [50, 1600, 6400])
+@pytest.mark.parametrize("d", [1e-4, 0.1, 0.3, 0.49])
+def test_closed_form_coefficients_match_mpmath(d, k):
+    # about 60 indices from both ends and the middle
+    j = np.unique(np.r_[np.geomspace(1, k, 32), np.linspace(1, k, 32)]
+                  .round().astype(int))
+    phi = lp.fi_ark_closed_form(d, k).phi[j - 1]
+    np.testing.assert_allclose(phi, ark_coeffs_mpmath(d, k, j), rtol=1e-12)
 
 
 def test_closed_form_domain():
