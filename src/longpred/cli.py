@@ -29,6 +29,8 @@ from .series import SamplePath
 from .simulate import path_blocks
 from .spectral import _MIN_N, whittle_fit
 from .toeplitz import durbin_levinson
+# the parser names its dispatch targets, so some of these are looked up in
+# globals() only
 from .risk import (ark_excess, c_of_d, coeffcov_scaling, covmoment_exact,
                    covmoment_scaling, r_of_k, truncation_excess,
                    wk_plugin_scaling, _coeffcov_point, _loglog_slope,
@@ -199,14 +201,15 @@ def _cmd_ratio_curve(args, config):
 
 
 def _cmd_rate(args, config):
-    """trunc-rate and ark-rate: ``args.excess(model, k)`` over the k grid
-    and its log-log slope in k, for each d."""
+    """trunc-rate and ark-rate: the excess function named by ``args.excess``
+    over the k grid and its log-log slope in k, for each d."""
     d_grid = _parse_grid(args.d)
     k_grid = _slope_grid(args.k_grid, "--k-grid")
+    excess = globals()[args.excess]
     rows = []
     for d in d_grid:
         model = LongMemoryModel.fi(d)
-        excesses = [args.excess(model, k) for k in k_grid]
+        excesses = [excess(model, k) for k in k_grid]
         slope, _ = _loglog_slope(k_grid, np.asarray(excesses),
                                  np.zeros(len(k_grid)))
         for k, e in zip(k_grid, excesses):
@@ -224,13 +227,15 @@ def _slope_rows(report):
 
 
 def _cmd_scaling(args, config):
-    """estimation-error and coeffcov-mc: ``args.scaling`` over the T grid."""
+    """estimation-error and coeffcov-mc: the scaling function named by
+    ``args.scaling`` over the T grid."""
     t_grid = _slope_grid(args.t_grid, "--t-grid")
     if args.whittle:
         _check_training(t_grid, "--t-grid", whittle=True)
     else:
         _check_training(t_grid, "--t-grid", k=args.k, k_flag="--k")
-    report = args.scaling(args.d, args.k, t_grid, args.reps, args.seed)
+    scaling = globals()[args.scaling]
+    report = scaling(args.d, args.k, t_grid, args.reps, args.seed)
     write_artifact(args.out, ["T", "estimate", "stderr", "fitted_slope"],
                    _slope_rows(report), args.seed, config)
     return 0
@@ -288,6 +293,9 @@ def _cmd_simulate(args, config):
 def _cmd_predict(args, config):
     window = _read_values(args.window, "--window")
     k = args.k if args.k is not None else len(window)
+    if len(window) < k:
+        raise UsageError(f"--window holds {len(window)} values, fewer than "
+                         f"--k = {k}")
     if args.method in ("wk", "ark"):
         if args.model is None:
             raise UsageError(f"--method {args.method} needs --model")
@@ -304,8 +312,10 @@ def _cmd_predict(args, config):
             raise UsageError(f"--method {args.method} needs --train")
         train = _read_values(args.train, "--train")
         if args.method == "wk-plugin":
+            _check_training([len(train)], "--train", whittle=True)
             forecast = wk_plugin_predict(train, window, k)
         else:
+            _check_training([len(train)], "--train", k=k, k_flag="--k")
             forecast = ark_plugin_predict(train, window, k)
     else:
         raise UsageError(f"unknown method {args.method!r}")
@@ -356,7 +366,11 @@ def _cmd_total_error(args, config):
 
 def _build_parser():
     """The top-level parser and its subparsers action (``.choices`` maps a
-    subcommand to its parser).  Every built-in default sits on its flag."""
+    subcommand to its parser).  Every built-in default sits on its flag.
+
+    Dispatch targets are stored as names of this module's functions and
+    looked up per call, so a parser built once still sees a rebound name.
+    """
     parser = argparse.ArgumentParser(
         prog="longpred",
         description="Long-memory next-step prediction experiments.",
@@ -376,57 +390,57 @@ def _build_parser():
         return p
 
     p = command("cd-curve", "constant of the k^-1 truncation rate",
-                _cmd_cd_curve)
+                "_cmd_cd_curve")
     p.add_argument("--d-min", type=float, default=0.01)
     p.add_argument("--d-max", type=float, default=0.49)
     p.add_argument("--steps", type=int, default=49)
 
-    p = command("ratio-curve", "improvement ratio r(k)", _cmd_ratio_curve)
+    p = command("ratio-curve", "improvement ratio r(k)", "_cmd_ratio_curve")
     p.add_argument("--d", type=str, default="0.1,0.2,0.3,0.4",
                    help="comma list")
     p.add_argument("--k", type=str, default="10,20,50,100", help="comma list")
 
     p = command("trunc-rate", "k * truncation excess over a k grid",
-                _cmd_rate, excess=truncation_excess)
+                "_cmd_rate", excess="truncation_excess")
     p.add_argument("--d", type=str, default="0.1,0.2,0.3,0.4")
     p.add_argument("--k-grid", type=str, default="100,200,400,800,1600")
 
-    p = command("ark-rate", "k * AR(k) excess over a k grid", _cmd_rate,
-                excess=ark_excess)
+    p = command("ark-rate", "k * AR(k) excess over a k grid", "_cmd_rate",
+                excess="ark_excess")
     p.add_argument("--d", type=str, default="0.2,0.3")
     p.add_argument("--k-grid", type=str, default="100,200,400,800")
 
     for name, summary, scaling, whittle in (
             ("estimation-error",
              "wk-plugin vs exact predictor MSE scaling in T",
-             wk_plugin_scaling, True),
+             "wk_plugin_scaling", True),
             ("coeffcov-mc", "ark-plugin vs exact predictor MSE scaling in T",
-             coeffcov_scaling, False)):
-        p = command(name, summary, _cmd_scaling, reps=200, scaling=scaling,
+             "coeffcov_scaling", False)):
+        p = command(name, summary, "_cmd_scaling", reps=200, scaling=scaling,
                     whittle=whittle)
         p.add_argument("--d", type=float, default=0.1)
         p.add_argument("--k", type=int, default=8)
         p.add_argument("--t-grid", type=str, default="1024,2048,4096,8192")
 
     p = command("covmoment-mc", "lag-0 covariance estimator MSE scaling in n",
-                _cmd_covmoment_mc, reps=200)
+                "_cmd_covmoment_mc", reps=200)
     p.add_argument("--d", type=float, default=0.1)
     p.add_argument("--n-grid", type=str, default="1024,2048,4096,8192")
 
-    p = command("whittle-mc", "replicated Whittle fits", _cmd_whittle_mc,
+    p = command("whittle-mc", "replicated Whittle fits", "_cmd_whittle_mc",
                 reps=100)
     p.add_argument("--d", type=float, default=0.3)
     p.add_argument("--t", type=int, default=4096)
 
-    p = command("simulate", "exact Gaussian sample paths", _cmd_simulate,
+    p = command("simulate", "exact Gaussian sample paths", "_cmd_simulate",
                 reps=1)
     p.add_argument("--model", type=str, default=None,
                    help="inline JSON or path to a model JSON file")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--single-file", action="store_true")
 
-    p = command("predict", "one-step forecast from CSV inputs", _cmd_predict,
-                out=False)
+    p = command("predict", "one-step forecast from CSV inputs",
+                "_cmd_predict", out=False)
     p.add_argument("--method", type=str, default="ark",
                    choices=["wk", "ark", "wk-plugin", "ark-plugin"])
     p.add_argument("--window", type=str, default=None)
@@ -434,13 +448,13 @@ def _build_parser():
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--k", type=int, default=None)
 
-    p = command("fit", "Whittle fit of a sample CSV", _cmd_fit, out=False)
+    p = command("fit", "Whittle fit of a sample CSV", "_cmd_fit", out=False)
     p.add_argument("--sample", type=str, default=None)
     p.add_argument("--d-min", type=float, default=1e-4)
     p.add_argument("--d-max", type=float, default=0.5 - 1e-4)
 
     p = command("total-error", "method vs estimation error over a (k, T) grid",
-                _cmd_total_error, reps=100)
+                "_cmd_total_error", reps=100)
     p.add_argument("--d", type=float, default=0.2)
     p.add_argument("--k-grid", type=str, default="8,16,32")
     p.add_argument("--t-grid", type=str, default="512,1024,2048")
@@ -459,15 +473,23 @@ def _config_type_ok(action, value):
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+_PARSER = None  # (parser, subparsers action), built by the first _parse
+
+
 def _parse(argv):
     """Parsed arguments and the config dict that the artifact header hashes.
 
     A ``--config`` file becomes the subcommand's defaults before a second
     parse, so an explicit flag beats the file and the file beats the
     built-in default; string values go through the flag's type, and any
-    other value must already have it.
+    other value must already have it.  The parser is built once per
+    process and never changed: a ``--config`` call parses with a parser
+    of its own.
     """
-    parser, sub = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    parser, sub = _PARSER
     args = parser.parse_args(argv)
     subparser = sub.choices[args.command]
     actions = {a.dest: a for a in subparser._actions}
@@ -485,7 +507,8 @@ def _parse(argv):
             if not _config_type_ok(actions[key], value):
                 raise UsageError(f"--config {key}: {json.dumps(value)} does "
                                  "not fit the flag's type")
-        subparser.set_defaults(**file_cfg)
+        parser, sub = _build_parser()
+        sub.choices[args.command].set_defaults(**file_cfg)
         args = parser.parse_args(argv)
     if "out" in flags and not args.out:
         raise UsageError("--out is required")
@@ -503,7 +526,7 @@ def _parse(argv):
 def main(argv=None):
     try:
         args, config = _parse(argv)
-        return args.fn(args, config)
+        return globals()[args.fn](args, config)
     except SystemExit as exc:  # raised by argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2
     # NotPositiveDefiniteError is a ValueError, so numeric failures go first

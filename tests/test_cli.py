@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import longpred as lp
+from longpred import cli
 from longpred.cli import _config_hash, _parse, main, read_artifact
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -318,6 +319,38 @@ def test_predict_missing_inputs_usage_errors(tmp_path):
     assert run(["predict", "--method", "ark-plugin", "--window", window]) == 2
 
 
+MODEL_ARG = '{"kind": "fi", "d": 0.3}'
+
+
+@pytest.mark.parametrize("window, train, flags, named", [
+    (5, None, ["--method", "wk", "--model", MODEL_ARG, "--k", 7],
+     ["--window", "--k"]),
+    (5, None, ["--method", "ark", "--model", MODEL_ARG, "--k", 7],
+     ["--window", "--k"]),
+    (5, 100, ["--method", "wk-plugin", "--k", 7], ["--window", "--k"]),
+    (5, 100, ["--method", "ark-plugin", "--k", 7], ["--window", "--k"]),
+    (8, 5, ["--method", "ark-plugin", "--k", 8], ["--train", "--k"]),
+    (8, 8, ["--method", "ark-plugin"], ["--train", "--k"]),
+    (5, 63, ["--method", "wk-plugin", "--k", 3], ["--train", "Whittle"]),
+])
+def test_predict_inputs_too_short_for_the_order(tmp_path, capsys, window,
+                                                train, flags, named):
+    # every method needs --k window values; an order-k Yule-Walker fit
+    # needs a --train longer than k, a Whittle fit one of at least 64.  The
+    # message names the flags, not the library's internals
+    args = ["predict"] + flags
+    for flag, n in (("--window", window), ("--train", train)):
+        if n is not None:
+            path = tmp_path / f"{flag[2:]}.csv"
+            path.write_text("value\n" + "".join(
+                f"{np.sin(t):.17g}\n" for t in range(n)))
+            args += [flag, path]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in named), err
+    assert "maxlag" not in err and "whittle_fit" not in err
+
+
 def test_fit_json_output(tmp_path, capsys):
     model = lp.LongMemoryModel.fi(0.3)
     acov = lp.exact_autocov(model, 1023)
@@ -494,6 +527,90 @@ def test_analytic_scripts_regenerate_committed_artifacts(script, names,
     for name in names:
         assert ((tmp_path / name).read_bytes()
                 == (ROOT / "out" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("config, code", [({"steps": 2}, 0),
+                                          ({"steps": 2.5}, 2)])
+def test_config_applies_only_to_its_own_call(tmp_path, capsys, config,
+                                             code):
+    # in-process calls share one parser; a --config file must not become
+    # the default of a later call, whether its own call succeeds or not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["cd-curve", "--config", cfg, "--out", tmp_path / "a.csv"]) \
+        == code
+    capsys.readouterr()
+    assert run(["cd-curve", "--out", tmp_path / "plain.csv"]) == 0
+    _, rows = read_artifact(tmp_path / "plain.csv")
+    assert len(rows) == 49
+    code = ("import sys; from longpred.cli import main; "
+            "print(main(sys.argv[1:]))")
+    assert run_fresh(code, "cd-curve", "--out", tmp_path / "fresh.csv") == "0"
+    assert ((tmp_path / "plain.csv").read_bytes()
+            == (tmp_path / "fresh.csv").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["trunc-rate", "--help"]])
+def test_help_is_the_same_on_every_call(capsys, argv):
+    texts = []
+    for _ in range(2):
+        assert run(argv) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: longpred" in texts[0]
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    builds = []
+    build = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert run(["cd-curve", "--steps", 3, "--out", tmp_path / "a.csv"]) == 0
+    assert run(["ratio-curve", "--d", 0.3, "--k", 10,
+                "--out", tmp_path / "b.csv"]) == 0
+    assert run(["cd-curve", "--steps", 0, "--out", tmp_path / "c.csv"]) == 2
+    assert run(["trunc-rate", "--help"]) == 0
+    assert len(builds) == 1
+    shared = cli._PARSER
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 2}))
+    # a --config call parses with a parser of its own
+    assert run(["cd-curve", "--config", cfg, "--out", tmp_path / "d.csv"]) == 0
+    assert len(builds) == 2 and cli._PARSER is shared
+
+
+def test_dispatch_targets_are_looked_up_per_call(tmp_path, monkeypatch):
+    # a rebound module name (a tracer's wrapper, a test's monkeypatch) is
+    # what a later call runs, although the parser was built before
+    commands = {
+        "truncation_excess": ["trunc-rate", "--d", 0.3, "--k-grid", "10,20"],
+        "ark_excess": ["ark-rate", "--d", 0.3, "--k-grid", "10,20"],
+        "coeffcov_scaling": ["coeffcov-mc", "--k", 2, "--t-grid", "128,256",
+                             "--reps", 50],
+        "wk_plugin_scaling": ["estimation-error", "--k", 2,
+                              "--t-grid", "128,256", "--reps", 50],
+    }
+    for name, argv in commands.items():
+        assert run(argv + ["--out", tmp_path / f"{name}-1.csv"]) == 0
+    calls = {name: 0 for name in commands}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in commands:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for name, argv in commands.items():
+        assert run(argv + ["--out", tmp_path / f"{name}-2.csv"]) == 0
+        assert ((tmp_path / f"{name}-1.csv").read_bytes()
+                == (tmp_path / f"{name}-2.csv").read_bytes()), name
+    assert all(calls.values()), calls
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
