@@ -153,8 +153,8 @@ def _load_model(source):
             text = fh.read()
     try:
         return model_from_json(text)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad model argument: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad --model argument: {exc}") from exc
 
 
 def _read_values(path, flag):
@@ -183,10 +183,7 @@ def _cmd_cd_curve(args, config):
         raise UsageError("--steps must be >= 1")
     if not (0.0 < args.d_min <= args.d_max < 0.5):
         raise UsageError("need 0 < d-min <= d-max < 1/2")
-    if args.steps == 1:
-        grid = [args.d_min]
-    else:
-        grid = list(np.linspace(args.d_min, args.d_max, args.steps))
+    grid = np.linspace(args.d_min, args.d_max, args.steps)
     rows = [(d, c_of_d(d)) for d in grid]
     write_artifact(args.out, ["d", "C(d)"], rows, args.seed, config)
     return 0
@@ -326,6 +323,7 @@ def _cmd_predict(args, config):
 
 def _cmd_fit(args, config):
     sample = _read_values(args.sample, "--sample")
+    _check_training([len(sample)], "--sample", whittle=True)
     fit = whittle_fit(sample, d_bounds=(args.d_min, args.d_max))
     print(json.dumps({"d_hat": fit.d_hat, "sigma2_hat": fit.sigma2_hat,
                       "objective": fit.objective, "at_bound": fit.at_bound}))
@@ -520,7 +518,8 @@ def _parse(argv):
         if value is not None and min(orders) < 1:
             raise UsageError(f"--{name.replace('_', '-')}: an order must be "
                              f">= 1, got {min(orders)}")
-    return args, {name: getattr(args, name) for name in flags}
+    # the subcommand is hashed too: trunc-rate and ark-rate share every flag
+    return args, {name: getattr(args, name) for name in flags | {"command"}}
 
 
 def main(argv=None):

@@ -11,8 +11,9 @@ Conventions
   with b_0 = 1.  The two power series are mutual inverses.  For fractional
   noise a_j < 0 and b_j > 0 for every j >= 1.
 * a_j, b_j and rho(h) come from ratio recursions, so indices up to 10^6
-  never overflow; log-gamma is left only in c_of_d and the FI sigma(0),
-  and plain Gamma calls are reserved for test oracles.
+  never overflow.  Every gamma ratio, the FI sigma(0) among them, comes
+  from the all-positive series of ``_fi_log_ratio``; Gamma and log-gamma
+  calls are reserved for test oracles.
 """
 
 import json
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import gammaln, zeta
+from scipy.special import zeta
 
 from .errors import AccuracyError, DomainError
 
@@ -276,10 +277,12 @@ def _fi_log_ratio(d, k):
     v(k)/sigma2 = prod_{t>k} (1 - d^2/(t - d)^2)^-1, whose log is the
     all-positive series sum_{m>=1} (d^2m/m) zeta(2m, k+1-d) (Hurwitz zeta),
     falling at least 9-fold per term for k >= 1.  At k = 0 the t = 1 factor
-    is taken exactly as 1 + d^2/(1-2d).  The bound adds the remainder (at
-    most 1/8 of the last term), each term's roundings, including that of q
-    through zeta's slope 2m, and SciPy's zeta error for its order, the
-    rounded sum, and one tiny for terms that underflow.
+    is taken exactly as 1 + d^2/(1-2d).  The same series serves -d at
+    k = 0, log(Gamma(1+2d)/Gamma(1+d)^2), at q = 2 + d with head
+    log1p(d^2/(1+2d)).  The bound adds the remainder (at most 1/8 of the
+    last term), each term's roundings, including that of q through zeta's
+    slope 2m, and SciPy's zeta error for its order, the rounded sum, and
+    one tiny for terms that underflow.
     """
     q = k + 1.0 - d if k else 2.0 - d
     m = np.arange(1, _FI_SERIES_TERMS + 1)
@@ -346,7 +349,8 @@ def _farima_autocov(model, m):
 def exact_autocov(model, m):
     """Exact autocovariances sigma(0..m) of the model.
 
-    FI uses the closed-form ratio recursion.  FARIMA convolves the FI
+    FI scales the ratio recursion of rho(h) by sigma(0), the exp of the
+    k = 0 series of ``_fi_log_ratio``.  FARIMA convolves the FI
     autocovariances over lags -H..m+H with the autocovariances of the ARMA
     impulse response, cut at H where the largest inverse AR root modulus R
     gives R^(H - q) <= 2^-60.  Each FARIMA lag is certified to 1e-8
@@ -356,11 +360,8 @@ def exact_autocov(model, m):
     if m < 0:
         raise ValueError("m must be >= 0")
     if model.is_pure_fractional:
-        # sigma(0) = sigma2 Gamma(1-2d)/Gamma(1-d)^2
-        d = model.d
-        values = (model.sigma2_eps
-                  * math.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
-                  * _fi_acf(d, m))
+        values = (model.sigma2_eps * math.exp(_fi_log_ratio(model.d, 0)[0])
+                  * _fi_acf(model.d, m))
     else:
         values, rel = _farima_autocov(model, m)
         achieved = float(np.max(rel)) + _EPS

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (AccuracyError, DomainError, InternalConsistencyError,
                      StatisticalPowerError)
@@ -170,18 +169,12 @@ def c_of_d(d):
     The constant behaves like d^2 as d -> 0, like
     1 / (pi^2 (1-2d)) as d -> 1/2, and equals 1/(4 pi) at d = 1/4.
 
-    Gamma(-d) is negative but enters squared, as |Gamma(-d)| =
-    Gamma(1-d)/d; everything is evaluated in log space.
+    It equals d^2 Gamma(1-2d)/Gamma(1-d)^2 * Gamma(1+2d)/Gamma(1+d)^2, the
+    exp of the k = 0 series of ``fraccoeff._fi_log_ratio`` at d and -d.
     """
     if not (0.0 < d < 0.5):
         raise DomainError(f"d={d} outside ]0, 1/2[")
-    return 2.0 * math.exp(
-        gammaln(1.0 - 2.0 * d)
-        + gammaln(2.0 * d)
-        - 2.0 * (gammaln(1.0 - d) - math.log(d))
-        - gammaln(d)
-        - gammaln(1.0 + d)
-    )
+    return d * d * math.exp(_fi_log_ratio(d, 0)[0] + _fi_log_ratio(-d, 0)[0])
 
 
 def excess_decomposition(d, k, sigma2_eps=1.0):
@@ -190,9 +183,9 @@ def excess_decomposition(d, k, sigma2_eps=1.0):
     With delta = a_k - a over indices 1..k: term1 = delta' Sigma_k delta
     (the mean-squared distance between the two forecasts), term2 =
     2 delta'(Sigma_{k+1} a)[1:] = -2 * term1's cross piece against the tail,
-    term3 = a' Sigma_{k+1} a - sigma2 = the truncation excess.  All sums are
-    finite thanks to the orthogonality identity and are taken by lag;
-    term1 + term2 + term3 equals the AR(k) excess.
+    term3 = a' Sigma_{k+1} a - sigma2 = the truncation excess, taken from
+    the certified ``truncation_excess``.  term1 and term2 are finite sums
+    by lag; term1 + term2 + term3 equals the AR(k) excess.
     """
     model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
     a = ar_inf_coeffs(model, k).values
@@ -200,7 +193,7 @@ def excess_decomposition(d, k, sigma2_eps=1.0):
     delta = -fi_ark_closed_form(d, k).phi - a[1:]
     term1 = _toeplitz_quadratic_form(sig, delta)
     term2 = 2.0 * float(np.dot(delta, _toeplitz_matvec(sig, a)[1:]))
-    term3 = _toeplitz_quadratic_form(sig, a) - sigma2_eps
+    term3 = truncation_excess(model, k)
     return {"term1": term1, "term2": term2, "term3": term3}
 
 
@@ -208,16 +201,15 @@ def r_of_k(d, k):
     """Relative improvement of AR(k) fitting over truncation for fractional
     noise, in [0, 1).
 
-    Computed two independent ways: from the closed-form decomposition
-    (term1/term3) and as (trunc - ark)/trunc from the excess routines; the
-    two must agree to 1e-6 relative.  The closed form is returned because
-    the direct ratio cancels at small d.
+    The closed form term1/term3 of the decomposition is returned, because
+    the direct (trunc - ark)/trunc cancels at small d; both share the
+    certified truncation excess trunc = term3, so their 1e-6 relative
+    agreement checks the projection identity term1 = trunc - ark.
     """
     dec = excess_decomposition(d, k)
-    r_closed = dec["term1"] / dec["term3"]
-    model = LongMemoryModel.fi(d)
-    trunc = truncation_excess(model, k)
-    ark = ark_excess(model, k)
+    trunc = dec["term3"]
+    r_closed = dec["term1"] / trunc
+    ark = ark_excess(LongMemoryModel.fi(d), k)
     r_direct = (trunc - ark) / trunc
     if abs(r_closed - r_direct) > 1e-6 * max(abs(r_direct), 1e-12):
         raise InternalConsistencyError(

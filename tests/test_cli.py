@@ -322,6 +322,24 @@ def test_predict_missing_inputs_usage_errors(tmp_path):
 MODEL_ARG = '{"kind": "fi", "d": 0.3}'
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", 8], ["predict", "--method", "wk"],
+    ["predict", "--method", "ark"]])
+@pytest.mark.parametrize("payload", [
+    '{"kind": "farima", "d": 0.3, "ar": 5}', '{"kind": "fi", "d": null}',
+    '{"kind": "fi", "d": [0.3]}', '{"kind": "fi", "d": 0.3, "sigma2": null}',
+    '{"kind": "farima", "d": 0.3, "ar": [null]}'])
+def test_model_field_of_wrong_type_is_a_usage_error(tmp_path, capsys,
+                                                    command, payload):
+    # an uncaught TypeError would propagate here instead of exit code 2
+    window = tmp_path / "w.csv"
+    window.write_text("value\n1.0\n")
+    extra = (["--window", window] if command[0] == "predict"
+             else ["--out", tmp_path / "paths"])
+    assert run(command + ["--model", payload] + extra) == 2
+    assert "--model" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("window, train, flags, named", [
     (5, None, ["--method", "wk", "--model", MODEL_ARG, "--k", 7],
      ["--window", "--k"]),
@@ -379,6 +397,16 @@ def test_fit_reads_simulate_artifact(tmp_path, capsys):
     path = lp.gaussian_paths(lp.exact_autocov(model, 511), 512, 1, seed=5,
                              stream=(5,))[0]
     assert payload["d_hat"] == lp.whittle_fit(path).d_hat
+
+
+def test_fit_sample_too_short_names_the_flag(tmp_path, capsys):
+    sample = tmp_path / "s.csv"
+    sample.write_text("value\n" + "".join(f"{np.sin(t):.17g}\n"
+                                          for t in range(63)))
+    assert run(["fit", "--sample", sample]) == 2
+    err = capsys.readouterr().err
+    assert "--sample" in err and "64" in err, err
+    assert "whittle_fit" not in err
 
 
 def test_sample_csv_needs_value_column_and_rows(tmp_path):
@@ -480,20 +508,38 @@ def test_config_numbers_keep_their_hash(tmp_path):
                 "--out", "x"])[1])
 
 
+def test_rate_commands_with_the_same_flags_hash_apart(tmp_path):
+    flags = ["--d", "0.2", "--k-grid", "100,200", "--out", "x"]
+    hashes = {_config_hash(_parse([command] + flags)[1])
+              for command in ("trunc-rate", "ark-rate")}
+    assert len(hashes) == 2
+    # the subcommand is hashed but names no flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "ark-rate"}))
+    assert run(["trunc-rate", "--config", cfg, "--out",
+                tmp_path / "o.csv"]) == 2
+
+
 def test_config_must_be_an_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
     assert run(["cd-curve", "--config", cfg, "--out", tmp_path / "o.csv"]) == 2
 
 
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded afresh."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("script,count", [
     ("reproduce_curves", 2), ("run_rate_checks", 2), ("run_mc_suite", 7)])
 def test_script_config_hashes_match_committed_artifacts(script, count,
                                                         monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        script, ROOT / "scripts" / f"{script}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script(script)
     seen = []
 
     def parse_only(argv):
@@ -517,16 +563,28 @@ def test_analytic_scripts_regenerate_committed_artifacts(script, names,
                                                          monkeypatch):
     # the analytic artifacts hold no Monte Carlo, so a rerun of their
     # script must give the committed bytes
-    spec = importlib.util.spec_from_file_location(
-        script, ROOT / "scripts" / f"{script}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script(script)
     monkeypatch.setattr(module, "OUT", tmp_path)
     assert module.run() == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     for name in names:
         assert ((tmp_path / name).read_bytes()
                 == (ROOT / "out" / name).read_bytes()), name
+
+
+def test_mc_suite_regenerates_committed_covmoment_low(tmp_path,
+                                                      monkeypatch):
+    # one Monte Carlo artifact of the suite, rerun from its own argv: its
+    # path estimates and exact column both rest on sigma(0)
+    module = load_script("run_mc_suite")
+    argvs = []
+    monkeypatch.setattr(module, "main", lambda argv: argvs.append(argv) or 0)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    assert module.run() == 0
+    out = tmp_path / "covmoment_low.csv"
+    [argv] = [a for a in argvs if a[-1] == str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (ROOT / "out" / out.name).read_bytes()
 
 
 @pytest.mark.parametrize("config, code", [({"steps": 2}, 0),

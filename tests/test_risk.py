@@ -26,7 +26,8 @@ from quadrature_oracle import compute_H_quadrature
 
 
 def c_oracle(d):
-    """Direct Gamma-product evaluation, independent of the log-gamma path."""
+    """Direct Gamma-product evaluation, independent of the gamma-ratio
+    series."""
     return (2 * Gamma(1 - 2 * d) * Gamma(2 * d)
             / (Gamma(-d) ** 2 * Gamma(d) * Gamma(1 + d)))
 
@@ -283,6 +284,24 @@ def test_c_of_d_against_gamma_oracle():
     assert lp.c_of_d(0.25) == pytest.approx(0.079577, abs=1e-6)
 
 
+def test_c_of_d_and_fi_sigma0_match_mpmath():
+    # both come from the k = 0 gamma-ratio series, C(d) at d and at -d;
+    # the -d series also keeps its error bound
+    for d in np.r_[np.linspace(1e-4, 0.4999, 50), 0.25]:
+        d = float(d)
+        with mpmath.workdps(50):
+            x = mpmath.mpf(d)
+            sigma0 = mpmath.gamma(1 - 2 * x) / mpmath.gamma(1 - x) ** 2
+            plus = mpmath.gamma(1 + 2 * x) / mpmath.gamma(1 + x) ** 2
+            c = x * x * sigma0 * plus
+            log_plus = mpmath.log(plus)
+        got = lp.exact_autocov(lp.LongMemoryModel.fi(d), 0).values[0]
+        np.testing.assert_allclose(got, float(sigma0), rtol=1.5e-15)
+        np.testing.assert_allclose(lp.c_of_d(d), float(c), rtol=1.5e-15)
+        log_r, err = _fi_log_ratio(-d, 0)
+        assert abs(log_r - float(log_plus)) <= err
+
+
 def test_c_of_d_near_half_equivalent():
     d = 0.49
     eqv = 2.0 / ((1 - 2 * d) * Gamma(-0.5) ** 2 * Gamma(0.5) * Gamma(1.5))
@@ -374,6 +393,14 @@ def ratio_mpmath(d, k):
 @pytest.mark.parametrize("d", [0.05, 0.3, 0.45])
 def test_ratio_matches_mpmath(d, k):
     assert lp.r_of_k(d, k) == pytest.approx(ratio_mpmath(d, k), rel=1e-9)
+
+
+@pytest.mark.parametrize("d, k", [(0.05, 100), (0.05, 50), (0.1, 100)])
+def test_ratio_at_small_d_matches_mpmath_closely(d, k):
+    # small d, where a truncation excess summed in double precision
+    # cancels hardest
+    np.testing.assert_allclose(lp.r_of_k(d, k), ratio_mpmath(d, k),
+                               rtol=1e-12)
 
 
 def test_decomposition_forms_no_order_k_matrix():
