@@ -27,7 +27,7 @@ from .predictor import (ark_plugin_predict, ark_predict, wk_plugin_predict,
                         wk_truncated_predict)
 from .series import SamplePath
 from .simulate import path_blocks
-from .spectral import _MIN_N, whittle_fit
+from .spectral import _MIN_N, periodogram, whittle_fit
 from .toeplitz import durbin_levinson
 # the parser names its dispatch targets, so some of these are looked up in
 # globals() only
@@ -143,14 +143,31 @@ def _check_training(lengths, flag, k=None, k_flag=None, whittle=False):
                          f"fit")
 
 
+def _check_whittle_sample(sample, flag):
+    """Usage errors for a sample that a Whittle fit cannot take: fewer than
+    64 values, or a periodogram that is zero (a constant sample, or for an
+    even length one alternating between two values) or not finite."""
+    _check_training([len(sample)], flag, whittle=True)
+    total = periodogram(sample).values.sum()
+    if not 0.0 < total < np.inf:
+        what = "zero" if total == 0.0 else "not finite"
+        raise UsageError(f"{flag}: the periodogram of its {len(sample)} "
+                         f"values is {what}, so a Whittle fit has nothing "
+                         f"to fit")
+
+
 def _load_model(source):
     """Model from an inline JSON object or a path to a JSON file."""
     if source is None:
         raise UsageError("--model is required")
     text = source.strip()
     if not text.startswith("{"):
-        with open(text) as fh:
-            text = fh.read()
+        try:
+            with open(text) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"--model: cannot read {text}: "
+                             f"{exc.strerror or exc}") from exc
     try:
         return model_from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
@@ -161,7 +178,11 @@ def _read_values(path, flag):
     """The ``value`` column of a CSV read by ``read_artifact``."""
     if path is None:
         raise UsageError(f"{flag} is required (CSV with a 'value' column)")
-    _, rows = read_artifact(path)
+    try:
+        _, rows = read_artifact(path)
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot read {path}: "
+                         f"{exc.strerror or exc}") from exc
     if not rows:
         raise UsageError(f"{path}: no data rows")
     try:
@@ -309,7 +330,7 @@ def _cmd_predict(args, config):
             raise UsageError(f"--method {args.method} needs --train")
         train = _read_values(args.train, "--train")
         if args.method == "wk-plugin":
-            _check_training([len(train)], "--train", whittle=True)
+            _check_whittle_sample(train, "--train")
             forecast = wk_plugin_predict(train, window, k)
         else:
             _check_training([len(train)], "--train", k=k, k_flag="--k")
@@ -323,7 +344,7 @@ def _cmd_predict(args, config):
 
 def _cmd_fit(args, config):
     sample = _read_values(args.sample, "--sample")
-    _check_training([len(sample)], "--sample", whittle=True)
+    _check_whittle_sample(sample, "--sample")
     fit = whittle_fit(sample, d_bounds=(args.d_min, args.d_max))
     print(json.dumps({"d_hat": fit.d_hat, "sigma2_hat": fit.sigma2_hat,
                       "objective": fit.objective, "at_bound": fit.at_bound}))

@@ -410,7 +410,12 @@ def model_to_json(model):
 
 
 def model_from_json(text):
+    """The model of ``model_to_json``'s object; ``ar``, ``ma`` and ``sigma2``
+    may be left out, and any other key raises ValueError."""
     obj = json.loads(text)
+    unknown = sorted(set(obj) - {"kind", "d", "ar", "ma", "sigma2"})
+    if unknown:
+        raise ValueError(f"unknown model key(s): {', '.join(unknown)}")
     return LongMemoryModel(
         kind=obj["kind"],
         d=float(obj["d"]),

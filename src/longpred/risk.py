@@ -32,9 +32,9 @@ from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
-from .toeplitz import (_toeplitz_matvec, _toeplitz_quadratic_form,
-                       durbin_levinson, empirical_autocov, fi_ark_closed_form,
-                       innovation_variance_quadratic_form, toeplitz_solve)
+from .toeplitz import (_innovation_variance, _lag_products, _toeplitz_matvec,
+                       _toeplitz_quadratic_form, durbin_levinson,
+                       empirical_autocov, fi_ark_closed_form, toeplitz_solve)
 
 # relative accuracy certified by truncation_excess and, for FI, ark_excess
 _TRUNC_RTOL = _ARK_RTOL = 1e-9
@@ -76,6 +76,8 @@ def truncation_excess(model, k):
     still exceed the result about k-fold, so they are summed in wide
     precision.  A round-off bound that follows every input from its
     recursion must stay below 1e-9 relative, or AccuracyError is raised.
+    The lag products come from ``toeplitz._lag_products``; if its FFT's
+    bound, charged in, is what breaks 1e-9, the direct sum runs instead.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -96,26 +98,40 @@ def truncation_excess(model, k):
         delta_err = float(1 + delta) * (rel[0] + _WIDE_EPS)
         steps = 3 + 2 * (phi.size + theta.size - 1)
     a = a[1:]
-    # tail[h] = sum_{j>=1} a_j a_{j+h}; w_h adds a_0 a_h = a_h to it
-    tail = np.correlate(a, a, "full")[k - 1 :]
-    w = a.copy()
-    w[:-1] += tail[1:]
-    b = np.sum(np.r_[tail[0], 2 * w * rho])
-    value = b + delta * (1 + b)
-
     # round-off bound: a term of b carries the roundings on its own path,
     # a_h from the recursion plus the final sum, a tail product both
-    # factors' recursions plus two sums of k terms
+    # factors' recursions plus two sums of k terms; the float lag products
+    # of |a| plus their own bound bound those of |a| at every lag
     a_abs, r_abs = np.abs(a).astype(float), np.abs(rho).astype(float)
-    tail_abs = np.correlate(a_abs, a_abs, "full")[k - 1 :]
+    tail_abs, abs_err = _lag_products(a_abs, a_abs, k, math.inf)
+    tail_abs = tail_abs + abs_err
     tail_w = np.r_[tail_abs[1:], 0.0]
     long_sum = _roundoff((2 * steps + 2) * k + 3, _WIDE_EPS)
     w_err = _roundoff(steps * h + k + 3, _WIDE_EPS) * a_abs + long_sum * tail_w
     b_err = (long_sum * tail_abs[0]
              + 2.0 * np.dot(w_err + rho_err * (a_abs + tail_w), r_abs))
-    value, delta, b = float(value), float(delta), float(b)
-    err = (b_err * (1.0 + abs(delta)) + delta_err * abs(1.0 + b)
-           + _EPS * (abs(delta * (1.0 + b)) + abs(value)))
+    # an FFT's bound on the 2-norm of tail's error meets rho by
+    # Cauchy-Schwarz
+    fft_weight = 1.0 + 2.0 * math.sqrt(np.dot(r_abs, r_abs))
+    delta_f = float(delta)
+
+    def excess(atol):
+        # tail[h] = sum_{j>=1} a_j a_{j+h}; w_h adds a_0 a_h = a_h to it
+        tail, tail_err = _lag_products(a, a, k, atol)
+        w = a.copy()
+        w[:-1] += tail[1:]
+        b = np.sum(np.r_[tail[0], 2 * w * rho])
+        value = float(b + delta * (1 + b))
+        b = float(b)
+        err = ((b_err + fft_weight * tail_err) * (1.0 + abs(delta_f))
+               + delta_err * abs(1.0 + b)
+               + _EPS * (abs(delta_f * (1.0 + b)) + abs(value)))
+        return value, err, tail_err
+
+    value, err, tail_err = excess(math.inf)
+    if err > _TRUNC_RTOL * abs(value) and tail_err:
+        # the FFT's bound misses where the direct sum's may not
+        value, err, _ = excess(0.0)
     if err > _TRUNC_RTOL * abs(value):
         raise AccuracyError(
             f"truncation excess not certified to rtol={_TRUNC_RTOL:g}",
@@ -132,8 +148,8 @@ def ark_excess(model, k):
     sigma2 expm1(L), so nothing of the size of sigma(0) cancels.  Its error
     bound, that of L through the slope exp(L) plus one rounding each of
     expm1 and the scaling, must stay below 1e-9 relative, or AccuracyError
-    is raised before the O(k^2) cross-check.  FARIMA models run
-    Durbin-Levinson on the exact autocovariances.
+    is raised before the cross-check, a lag sum of the coefficients.
+    FARIMA models run Durbin-Levinson on the exact autocovariances.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -151,8 +167,11 @@ def ark_excess(model, k):
     else:
         model_k = durbin_levinson(acov, k)
         value = model_k.v - model.sigma2_eps
-    quad_v = innovation_variance_quadratic_form(acov, model_k)
-    if abs(quad_v - model_k.v) > _ARK_CHECK_RTOL * acov.values[0]:
+    # an FFT runs in the cross-check only if its bound fits in the margin,
+    # which it then widens
+    margin = _ARK_CHECK_RTOL * acov.values[0]
+    quad_v, quad_err = _innovation_variance(acov, model_k, margin)
+    if abs(quad_v - model_k.v) > margin + quad_err:
         raise InternalConsistencyError(
             f"v(k) {model_k.v!r} disagrees with quadratic form {quad_v!r}"
         )
@@ -177,6 +196,19 @@ def c_of_d(d):
     return d * d * math.exp(_fi_log_ratio(d, 0)[0] + _fi_log_ratio(-d, 0)[0])
 
 
+def _decomposition(d, k, sigma2_eps):
+    """The terms of ``excess_decomposition`` and the FFT bound on term1."""
+    model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
+    a = ar_inf_coeffs(model, k).values
+    sig = exact_autocov(model, k).values
+    delta = -fi_ark_closed_form(d, k).phi - a[1:]
+    term1, term1_err = _toeplitz_quadratic_form(sig, delta, math.inf)
+    prod, _ = _toeplitz_matvec(sig, a, math.inf)
+    term2 = 2.0 * float(np.dot(delta, prod[1:]))
+    term3 = truncation_excess(model, k)
+    return {"term1": term1, "term2": term2, "term3": term3}, term1_err
+
+
 def excess_decomposition(d, k, sigma2_eps=1.0):
     """Three-term split of the AR(k) excess for fractional noise.
 
@@ -187,14 +219,7 @@ def excess_decomposition(d, k, sigma2_eps=1.0):
     the certified ``truncation_excess``.  term1 and term2 are finite sums
     by lag; term1 + term2 + term3 equals the AR(k) excess.
     """
-    model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
-    a = ar_inf_coeffs(model, k).values
-    sig = exact_autocov(model, k).values
-    delta = -fi_ark_closed_form(d, k).phi - a[1:]
-    term1 = _toeplitz_quadratic_form(sig, delta)
-    term2 = 2.0 * float(np.dot(delta, _toeplitz_matvec(sig, a)[1:]))
-    term3 = truncation_excess(model, k)
-    return {"term1": term1, "term2": term2, "term3": term3}
+    return _decomposition(d, k, sigma2_eps)[0]
 
 
 def r_of_k(d, k):
@@ -204,14 +229,16 @@ def r_of_k(d, k):
     The closed form term1/term3 of the decomposition is returned, because
     the direct (trunc - ark)/trunc cancels at small d; both share the
     certified truncation excess trunc = term3, so their 1e-6 relative
-    agreement checks the projection identity term1 = trunc - ark.
+    agreement checks the projection identity term1 = trunc - ark, its
+    margin widened by the FFT bound on term1.
     """
-    dec = excess_decomposition(d, k)
+    dec, term1_err = _decomposition(d, k, 1.0)
     trunc = dec["term3"]
     r_closed = dec["term1"] / trunc
     ark = ark_excess(LongMemoryModel.fi(d), k)
     r_direct = (trunc - ark) / trunc
-    if abs(r_closed - r_direct) > 1e-6 * max(abs(r_direct), 1e-12):
+    if (abs(r_closed - r_direct)
+            > 1e-6 * max(abs(r_direct), 1e-12) + term1_err / trunc):
         raise InternalConsistencyError(
             f"improvement ratio mismatch: closed-form {r_closed!r} vs "
             f"direct {r_direct!r}"

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, NotPositiveDefiniteError
-from .fraccoeff import AutocovSeq, _fi_ar_values, _fi_log_ratio
+from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, AutocovSeq, _fi_ar_values,
+                        _fi_log_ratio)
 
 
 @dataclass(frozen=True)
@@ -164,35 +165,113 @@ def toeplitz_solve(acov, rhs, k, rtol=1e-8):
     return x
 
 
-def _toeplitz_quadratic_form(sig, x):
+def _fft_lag_error(x, y, size, eps):
+    """A bound on ||w_fft - w||_2 for the lag products w of x and y computed
+    by two real FFTs of length size = 2^t, their spectral product and one
+    inverse FFT, in a precision of machine epsilon eps (u = eps/2).
+
+    One transform of a radix-2 FFT is off by at most
+    e = t eta/(1 - t eta) of its output in the 2-norm, with
+    eta = mu + gamma_4 (sqrt 2 + mu) and mu the twiddle error (Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, Thm 24.2); pocketfft's
+    radix-4 passes do at most the work of two radix-2 levels.  pocketfft
+    forms each twiddle, in the transform's own precision, as the product of
+    two tabulated cos/sin pairs whose arguments below pi/4 are about 3u off
+    and whose libm values add one ulp: about 12u, taken as mu = 16u.  With
+    Parseval, |X_m| <= ||x||_1, a spectral product off by sqrt 2 gamma_2
+    and an exact 1/size scaling, the lag products are off by at most
+    M (c g (1 + e) + e) in the 2-norm, where c = 2e + sqrt 2 gamma_2 (1 + e),
+    g = 1 + e sqrt(size) and M = max(||x||_2 ||y||_1, ||x||_1 ||y||_2).
+    The norms are summed in float and inflated by their own rounding.
+    """
+    u = eps / 2.0
+    t = size.bit_length() - 1
+    mu = 16.0 * u
+    eta = mu + 4.0 * u / (1.0 - 4.0 * u) * (math.sqrt(2.0) + mu)
+    e = t * eta / (1.0 - t * eta)
+    c = 2.0 * e + math.sqrt(2.0) * 2.0 * u / (1.0 - 2.0 * u) * (1.0 + e)
+    g = 1.0 + e * math.sqrt(size)
+    x_abs, y_abs = np.abs(x).astype(float), np.abs(y).astype(float)
+    x1, y1 = float(np.sum(x_abs)), float(np.sum(y_abs))
+    x2, y2 = math.sqrt(np.dot(x_abs, x_abs)), math.sqrt(np.dot(y_abs, y_abs))
+    M = max(x2 * y1, x1 * y2) * (1.0 + 2.0 * (x.size + y.size) * _EPS)
+    return M * (c * g * (1.0 + e) + e)
+
+
+def _lag_products(x, y, lags, atol):
+    """The lag products w_h = sum_j x_j y_{j+h}, h = 0..lags-1 (y zero
+    beyond its end), in the precision of x and y, and a bound err on the
+    2-norm of their error over the lags, which bounds every lag's error.
+
+    Below a length n = len(x) of 200 in long double and 400 in float, where
+    the O(n lags) sum is the faster (x86-64, numpy 2.4), np.correlate runs
+    and err = 0: its rounding is that of a sum of n products per lag, which
+    the callers bound as before.  Above it a real FFT of the inputs
+    zero-padded to a power of two, O(n log n), runs if its a-priori bound
+    ``_fft_lag_error`` is at most atol; otherwise the direct sum runs.  The
+    bound uses the epsilon of the inputs' precision, so where long double
+    is plain double it is about 2000 times that of the 80-bit format.
+    """
+    n = x.size
+    wide = x.dtype == _WIDE
+    if n >= (200 if wide else 400):
+        size = 1 << (max(y.size, n + lags - 1) - 1).bit_length()
+        err = _fft_lag_error(x, y, size, _WIDE_EPS if wide else _EPS)
+        if err <= atol:
+            fx = np.fft.rfft(x, size)
+            fy = fx if y is x else np.fft.rfft(y, size)
+            return np.fft.irfft(fx.conj() * fy, size)[:lags], err
+    full = y.size < n + lags - 1
+    w = np.correlate(y, x, "full" if full else "valid")
+    return w[(n - 1) * full :][:lags], 0.0
+
+
+def _toeplitz_quadratic_form(sig, x, atol):
     """x' Sigma x for the Toeplitz matrix of sigma(0..n-1), n = len(x),
     summed by lag as sigma(0) w_0 + 2 sum_{h>=1} sigma(h) w_h with the lag
-    products w_h = sum_j x_j x_{j+h}, so no n x n matrix is formed."""
+    products w_h = sum_j x_j x_{j+h}, so no n x n matrix is formed, and a
+    bound on the error of the lag products' FFT (0 on the direct route):
+    their 2-norm bound times |sigma(0)| + 2 ||sigma(1..n-1)||_2, by
+    Cauchy-Schwarz.  The FFT runs only if that bound is at most atol."""
     n = x.size
-    w = np.correlate(x, x, "full")[n - 1 :]
-    return float(sig[0] * w[0] + 2.0 * np.dot(sig[1:n], w[1:]))
+    scale = abs(sig[0]) + 2.0 * math.sqrt(np.dot(sig[1:n], sig[1:n]))
+    w, err = _lag_products(x, x, n, atol / scale)
+    return float(sig[0] * w[0] + 2.0 * np.dot(sig[1:n], w[1:])), err * scale
 
 
-def _toeplitz_matvec(sig, x):
+def _toeplitz_matvec(sig, x, atol):
     """Sigma x for the Toeplitz matrix of sigma(0..n-1), n = len(x): the
-    convolution of x with the mirrored lags sigma(n-1..1, 0, 1..n-1)."""
+    lag products of x reversed with the mirrored lags sigma(n-1..1, 0,
+    1..n-1), and the bound of ``_lag_products`` on their error."""
     n = x.size
-    return np.convolve(np.r_[sig[n - 1 : 0 : -1], sig[:n]], x, "valid")
+    return _lag_products(x[::-1], np.r_[sig[n - 1 : 0 : -1], sig[:n]], n,
+                         atol)
 
 
 def yule_walker_residual(acov, model_k):
-    """Max relative residual of the order-k Yule-Walker equations."""
+    """Max relative residual of the order-k Yule-Walker equations; an FFT
+    route's bound on Sigma phi is added, so the value bounds the residual
+    of the exact product."""
     k = model_k.k
     sig = acov.values
     rhs = sig[1 : k + 1]
-    resid = _toeplitz_matvec(sig, model_k.phi) - rhs
-    return float(np.max(np.abs(resid)) / max(np.max(np.abs(rhs)), sig[0]))
+    prod, err = _toeplitz_matvec(sig, model_k.phi, math.inf)
+    return float((np.max(np.abs(prod - rhs)) + err)
+                 / max(np.max(np.abs(rhs)), sig[0]))
+
+
+def _innovation_variance(acov, model_k, atol):
+    """v(k) recomputed as sigma(0) - 2 phi'rho + phi'Sigma phi, the last
+    term summed by lag, and the FFT bound on that term (see
+    ``_toeplitz_quadratic_form``, which takes atol)."""
+    sig = acov.values
+    phi = model_k.phi
+    quad, err = _toeplitz_quadratic_form(sig, phi, atol)
+    return float(sig[0] - 2.0 * np.dot(phi, sig[1 : model_k.k + 1])
+                 + quad), err
 
 
 def innovation_variance_quadratic_form(acov, model_k):
     """v(k) recomputed as sigma(0) - 2 phi'rho + phi'Sigma phi, the last
     term summed by lag."""
-    sig = acov.values
-    phi = model_k.phi
-    return float(sig[0] - 2.0 * np.dot(phi, sig[1 : model_k.k + 1])
-                 + _toeplitz_quadratic_form(sig, phi))
+    return _innovation_variance(acov, model_k, math.inf)[0]

@@ -340,6 +340,64 @@ def test_model_field_of_wrong_type_is_a_usage_error(tmp_path, capsys,
     assert "--model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", 8], ["predict", "--method", "wk"],
+    ["predict", "--method", "ark"]])
+@pytest.mark.parametrize("payload, key", [
+    ('{"kind": "fi", "d": 0.3, "extra": 1}', "extra"),
+    ('{"kind": "fi", "d": 0.3, "sigma": 4}', "sigma")])
+def test_unknown_model_key_is_a_usage_error(tmp_path, capsys, command,
+                                            payload, key):
+    # a misspelt "sigma2" would otherwise simulate unit variance
+    window = tmp_path / "w.csv"
+    window.write_text("value\n1.0\n")
+    extra = (["--window", window] if command[0] == "predict"
+             else ["--out", tmp_path / "paths"])
+    assert run(command + ["--model", payload] + extra) == 2
+    err = capsys.readouterr().err
+    assert "--model" in err and f"unknown model key(s): {key}" in err, err
+    assert not (tmp_path / "paths").exists()
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--model", ["simulate", "--out", "paths"]),
+    ("--model", ["predict", "--method", "ark", "--window", "w.csv"]),
+    ("--sample", ["fit"]),
+    ("--window", ["predict", "--method", "wk", "--model", MODEL_ARG]),
+    ("--train", ["predict", "--method", "ark-plugin", "--k", 2,
+                 "--window", "w.csv"]),
+])
+def test_missing_input_file_is_a_usage_error_naming_its_flag(
+        tmp_path, capsys, monkeypatch, flag, args):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("w.csv").write_text("value\n1.0\n2.0\n")
+    assert run(args + [flag, "missing.file"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: cannot read missing.file"), err
+    assert not pathlib.Path("paths").exists()
+
+
+@pytest.mark.parametrize("values", [[1.5] * 64, [1.5, -2.0] * 32])
+@pytest.mark.parametrize("flag, args", [
+    ("--sample", ["fit"]),
+    ("--train", ["predict", "--method", "wk-plugin", "--k", 2,
+                 "--window", "w.csv"]),
+])
+def test_sample_with_a_zero_periodogram_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, values, flag, args):
+    # a constant sample, or an even-length one alternating between two
+    # values, leaves nothing at the Fourier frequencies of a Whittle fit
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("w.csv").write_text("value\n1.0\n2.0\n")
+    pathlib.Path("s.csv").write_text(
+        "value\n" + "".join(f"{v!r}\n" for v in values))
+    assert run(args + [flag, "s.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: the periodogram"), \
+        captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("window, train, flags, named", [
     (5, None, ["--method", "wk", "--model", MODEL_ARG, "--k", 7],
      ["--window", "--k"]),

@@ -388,3 +388,10 @@ def test_model_json_roundtrip():
     payload = json.loads(model_to_json(model))
     assert set(payload) == {"kind", "d", "ar", "ma", "sigma2"}
 
+
+def test_model_json_unknown_keys_raise():
+    fi = model_from_json('{"kind": "fi", "d": 0.3}')
+    assert fi == lp.LongMemoryModel.fi(0.3)
+    with pytest.raises(ValueError, match="unknown model key.*: extra, sigma$"):
+        model_from_json('{"kind": "fi", "d": 0.3, "sigma": 4, "extra": 1}')
+

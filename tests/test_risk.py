@@ -12,7 +12,7 @@ from scipy.special import gamma as Gamma
 from scipy.special import gammaln
 
 import longpred as lp
-from longpred import fraccoeff
+from longpred import fraccoeff, toeplitz
 from longpred.cli import read_artifact
 from longpred.errors import (AccuracyError, DomainError,
                              InternalConsistencyError, StatisticalPowerError)
@@ -136,6 +136,91 @@ def test_k_times_truncation_excess_converges():
         np.testing.assert_allclose(seq[-1], lp.c_of_d(d), rtol=0.01)
 
 
+def lag_route(monkeypatch, atol):
+    """Send truncation_excess's lag products down one route: atol = 0 the
+    direct sum, atol = inf the FFT above the crossover."""
+    kernel = toeplitz._lag_products
+    monkeypatch.setattr("longpred.risk._lag_products",
+                        lambda x, y, lags, _: kernel(x, y, lags, atol))
+
+
+def fft_achieved(monkeypatch, model, k):
+    """The relative bound that the FFT route certifies, read from the
+    AccuracyError of a zero tolerance."""
+    with monkeypatch.context() as m:
+        lag_route(m, math.inf)
+        m.setattr("longpred.risk._TRUNC_RTOL", 0.0)
+        with pytest.raises(AccuracyError) as exc:
+            lp.truncation_excess(model, k)
+    return exc.value.achieved
+
+
+@pytest.mark.parametrize("d", [0.1, 0.45])
+def test_truncation_excess_fft_route_matches_the_direct_route(monkeypatch, d):
+    # at k = 25 600 the FFT certifies its value; the direct long-double
+    # sum, certified too, is the reference, within the sum of both bounds
+    model, k = lp.LongMemoryModel.fi(d), 25600
+    fft = lp.truncation_excess(model, k)
+    achieved = fft_achieved(monkeypatch, model, k)
+    assert achieved <= 1e-9
+    lag_route(monkeypatch, 0.0)
+    direct = lp.truncation_excess(model, k)
+    assert abs(fft - direct) <= achieved * fft + 1e-9 * direct
+
+
+def test_truncation_excess_takes_the_direct_route_when_the_fft_bound_fails(
+        monkeypatch):
+    # where long double is plain double, the FFT's bound is some 2000 times
+    # larger and misses 1e-9 at k = 1600, d = 0.45; the direct sum then
+    # runs, and its value is returned bit for bit
+    model, k = lp.LongMemoryModel.fi(0.45), 1600
+    with monkeypatch.context() as m:
+        lag_route(m, 0.0)
+        direct = lp.truncation_excess(model, k)
+    kernel, calls = toeplitz._lag_products, []
+
+    def spy(x, y, lags, atol):
+        w, err = kernel(x, y, lags, atol)
+        calls.append((x.dtype, err))
+        return w, err
+
+    monkeypatch.setattr("longpred.risk._lag_products", spy)
+    monkeypatch.setattr("longpred.toeplitz._WIDE_EPS", fraccoeff._EPS)
+    assert lp.truncation_excess(model, k) == direct
+    wide = [err for dtype, err in calls if dtype == fraccoeff._WIDE]
+    assert len(wide) == 2 and wide[0] > 0.0 and wide[1] == 0.0
+
+
+@pytest.mark.parametrize("d", [0.1, 0.25])
+def test_k_times_truncation_excess_keeps_rising_to_102400(d):
+    # k trunc(k)/C(d) rises to 1 from below; at k = 102 400 the FFT's bound
+    # certifies these d
+    model = lp.LongMemoryModel.fi(d)
+    low, high = (k * lp.truncation_excess(model, k) / lp.c_of_d(d)
+                 for k in (25600, 102400))
+    assert low < high < 1.0
+
+
+class DirectRoute(Exception):
+    pass
+
+
+@pytest.mark.parametrize("d", [0.4, 0.45])
+def test_fft_bound_misses_at_102400_for_large_d(monkeypatch, d):
+    # here the FFT's bound misses 1e-9, so no AccuracyError: the direct
+    # sum, about 20 s, runs instead.  Its request is caught, not run
+    kernel = toeplitz._lag_products
+
+    def no_direct(x, y, lags, atol):
+        if atol == 0.0:
+            raise DirectRoute
+        return kernel(x, y, lags, atol)
+
+    monkeypatch.setattr("longpred.risk._lag_products", no_direct)
+    with pytest.raises(DirectRoute):
+        lp.truncation_excess(lp.LongMemoryModel.fi(d), 102400)
+
+
 def test_truncation_excess_scales_with_sigma2():
     base = lp.truncation_excess(lp.LongMemoryModel.fi(0.3), 25)
     scaled = lp.truncation_excess(lp.LongMemoryModel.fi(0.3, sigma2_eps=3.0),
@@ -189,6 +274,31 @@ def test_ark_excess_cross_check_catches_a_wrong_closed_form(monkeypatch):
     monkeypatch.setattr("longpred.risk.fi_ark_closed_form", shifted)
     with pytest.raises(InternalConsistencyError):
         lp.ark_excess(lp.LongMemoryModel.fi(0.3), 50)
+
+
+def test_ark_excess_fft_cross_check_catches_a_wrong_closed_form(monkeypatch):
+    # at k = 1600 the quadratic form runs through the FFT, whose bound
+    # widens the 1e-8 sigma(0) margin by far less than the 1e-6 shift
+    def shifted(d, k, sigma2_eps=1.0):
+        model_k = lp.fi_ark_closed_form(d, k, sigma2_eps)
+        sigma0 = lp.exact_autocov(lp.LongMemoryModel.fi(d, sigma2_eps),
+                                  0).values[0]
+        return dataclasses.replace(model_k, v=model_k.v + 1e-6 * sigma0)
+
+    errs = []
+    kernel = toeplitz._innovation_variance
+
+    def spy(acov, model_k, atol):
+        v, err = kernel(acov, model_k, atol)
+        errs.append(err)
+        return v, err
+
+    monkeypatch.setattr("longpred.risk._innovation_variance", spy)
+    lp.ark_excess(lp.LongMemoryModel.fi(0.3), 1600)
+    monkeypatch.setattr("longpred.risk.fi_ark_closed_form", shifted)
+    with pytest.raises(InternalConsistencyError):
+        lp.ark_excess(lp.LongMemoryModel.fi(0.3), 1600)
+    assert 0.0 < errs[0] < 1e-3 * 1e-8
 
 
 def ark_excess_mpmath(d, k):
@@ -251,10 +361,10 @@ def test_fi_gamma_ratio_series_matches_mpmath(d, k):
 def test_ark_excess_refuses_before_the_cross_check(monkeypatch):
     # charging every order of SciPy's zeta 1e-8 puts the bound above 1e-9;
     # the refusal comes before the O(k^2) cross-check
-    def no_quadratic_form(acov, model_k):
+    def no_quadratic_form(acov, model_k, atol):
         raise AssertionError("O(k^2) cross-check ran")
 
-    monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
+    monkeypatch.setattr("longpred.risk._innovation_variance",
                         no_quadratic_form)
     monkeypatch.setattr("longpred.fraccoeff._ZETA_RTOL",
                         fraccoeff._ZETA_RTOL + 1e-8)

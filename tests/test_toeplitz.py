@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 import longpred as lp
 from longpred.errors import NotPositiveDefiniteError
-from longpred.fraccoeff import AutocovSeq
+from longpred.fraccoeff import _WIDE, AutocovSeq, _fi_ar_values
 from longpred.rng import derive_rng
 from longpred.series import SamplePath
-from longpred.toeplitz import (innovation_variance_quadratic_form,
+from longpred.toeplitz import (_lag_products, _toeplitz_matvec,
+                               innovation_variance_quadratic_form,
                                yule_walker_residual)
 
 from levinson_oracle import durbin_levinson_inline
@@ -99,6 +100,70 @@ def test_innovation_variance_identity(seed, k):
     model_k = lp.durbin_levinson(acov, k)
     quad = innovation_variance_quadratic_form(acov, model_k)
     np.testing.assert_allclose(quad, model_k.v, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# lag products
+
+
+def lag_vector(kind, n, dtype):
+    if kind == "random":
+        return np.random.default_rng(n).standard_normal(n).astype(dtype)
+    return _fi_ar_values(dtype(0.45), n)[1:]  # a_1..a_n of FI(0.45)
+
+
+@pytest.mark.parametrize("kind", ["random", "fi"])
+@pytest.mark.parametrize("dtype, n", [
+    (_WIDE, 200), (_WIDE, 1600), (_WIDE, 6400),
+    (np.float64, 400), (np.float64, 1600), (np.float64, 6400)])
+def test_fft_lag_products_lie_within_their_bound(kind, dtype, n):
+    # at and above the crossover the FFT runs; the direct sum in long
+    # double, far more accurate than the bound, is the reference
+    x = lag_vector(kind, n, dtype)
+    w, err = _lag_products(x, x, n, np.inf)
+    assert w.dtype == dtype and err > 0.0
+    wide = x.astype(_WIDE)
+    exact = np.correlate(wide, wide, "full")[n - 1 :]
+    assert np.sqrt(np.sum((w - exact) ** 2)) <= err
+
+
+@pytest.mark.parametrize("dtype, n", [(_WIDE, 200), (np.float64, 1600)])
+def test_fft_toeplitz_product_lies_within_its_bound(dtype, n):
+    # Sigma x: the lag products of x reversed with the mirrored lags,
+    # whose FFT length covers only the first n lags
+    sig = lp.exact_autocov(lp.LongMemoryModel.fi(0.45), n).values
+    x = np.random.default_rng(n).standard_normal(n)
+    prod, err = _toeplitz_matvec(sig.astype(dtype), x.astype(dtype), np.inf)
+    assert err > 0.0
+    mirrored = np.r_[sig[n - 1 : 0 : -1], sig[:n]].astype(_WIDE)
+    exact = np.convolve(mirrored, x.astype(_WIDE), "valid")
+    assert np.sqrt(np.sum((prod - exact) ** 2)) <= err
+
+
+@pytest.mark.parametrize("dtype, n", [(_WIDE, 199), (np.float64, 399)])
+def test_lag_products_below_the_crossover_are_np_correlate(dtype, n):
+    x = lag_vector("random", n, dtype)
+    w, err = _lag_products(x, x, n, np.inf)
+    assert err == 0.0
+    assert np.array_equal(w, np.correlate(x, x, "full")[n - 1 :])
+    sig = lp.exact_autocov(lp.LongMemoryModel.fi(0.3), n).values
+    prod, err = _toeplitz_matvec(sig, x.astype(float), np.inf)
+    assert err == 0.0
+    assert np.array_equal(prod, np.convolve(
+        np.r_[sig[n - 1 : 0 : -1], sig[:n]], x.astype(float), "valid"))
+
+
+@pytest.mark.parametrize("dtype", [_WIDE, np.float64])
+def test_lag_products_refuse_an_fft_whose_bound_misses_atol(dtype):
+    # above the crossover, an atol below the FFT's bound takes the direct
+    # sum, bit for bit
+    n = 1600
+    x = lag_vector("fi", n, dtype)
+    _, bound = _lag_products(x, x, n, np.inf)
+    w, err = _lag_products(x, x, n, 0.5 * bound)
+    assert err == 0.0
+    assert np.array_equal(w, np.correlate(x, x, "full")[n - 1 :])
+    assert _lag_products(x, x, n, bound)[1] == bound
 
 
 @pytest.mark.parametrize("model,k", [
