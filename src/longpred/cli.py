@@ -27,7 +27,7 @@ from .predictor import (ark_plugin_predict, ark_predict, wk_plugin_predict,
                         wk_truncated_predict)
 from .series import SamplePath
 from .simulate import path_blocks
-from .spectral import _MIN_N, periodogram, whittle_fit
+from .spectral import _MIN_N, whittle_fit
 from .toeplitz import durbin_levinson
 # the parser names its dispatch targets, so some of these are looked up in
 # globals() only
@@ -143,17 +143,13 @@ def _check_training(lengths, flag, k=None, k_flag=None, whittle=False):
                          f"fit")
 
 
-def _check_whittle_sample(sample, flag):
-    """Usage errors for a sample that a Whittle fit cannot take: fewer than
-    64 values, or a periodogram that is zero (a constant sample, or for an
-    even length one alternating between two values) or not finite."""
-    _check_training([len(sample)], flag, whittle=True)
-    total = periodogram(sample).values.sum()
-    if not 0.0 < total < np.inf:
-        what = "zero" if total == 0.0 else "not finite"
-        raise UsageError(f"{flag}: the periodogram of its {len(sample)} "
-                         f"values is {what}, so a Whittle fit has nothing "
-                         f"to fit")
+def _whittle_usage_error(flag, sample):
+    """The usage error for a sample whose periodogram ``whittle_fit``
+    refuses with EstimationError: zero for a constant sample, or for an
+    even length one alternating between two values."""
+    return UsageError(f"{flag}: the periodogram of its {len(sample)} values "
+                      f"is zero or not finite, so a Whittle fit has nothing "
+                      f"to fit")
 
 
 def _load_model(source):
@@ -330,8 +326,11 @@ def _cmd_predict(args, config):
             raise UsageError(f"--method {args.method} needs --train")
         train = _read_values(args.train, "--train")
         if args.method == "wk-plugin":
-            _check_whittle_sample(train, "--train")
-            forecast = wk_plugin_predict(train, window, k)
+            _check_training([len(train)], "--train", whittle=True)
+            try:
+                forecast = wk_plugin_predict(train, window, k)
+            except EstimationError as exc:
+                raise _whittle_usage_error("--train", train) from exc
         else:
             _check_training([len(train)], "--train", k=k, k_flag="--k")
             forecast = ark_plugin_predict(train, window, k)
@@ -344,8 +343,11 @@ def _cmd_predict(args, config):
 
 def _cmd_fit(args, config):
     sample = _read_values(args.sample, "--sample")
-    _check_whittle_sample(sample, "--sample")
-    fit = whittle_fit(sample, d_bounds=(args.d_min, args.d_max))
+    _check_training([len(sample)], "--sample", whittle=True)
+    try:
+        fit = whittle_fit(sample, d_bounds=(args.d_min, args.d_max))
+    except EstimationError as exc:
+        raise _whittle_usage_error("--sample", sample) from exc
     print(json.dumps({"d_hat": fit.d_hat, "sigma2_hat": fit.sigma2_hat,
                       "objective": fit.objective, "at_bound": fit.at_bound}))
     return 0

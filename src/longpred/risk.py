@@ -32,14 +32,20 @@ from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
-from .toeplitz import (_innovation_variance, _lag_products, _toeplitz_matvec,
+from .toeplitz import (_lag_products, _toeplitz_matvec,
                        _toeplitz_quadratic_form, durbin_levinson,
-                       empirical_autocov, fi_ark_closed_form, toeplitz_solve)
+                       empirical_autocov, fi_ark_closed_form,
+                       innovation_variance_quadratic_form, toeplitz_solve)
 
 # relative accuracy certified by truncation_excess and, for FI, ark_excess
 _TRUNC_RTOL = _ARK_RTOL = 1e-9
 # agreement of ark_excess's v(k) with its quadratic form, in sigma(0)
 _ARK_CHECK_RTOL = 1e-8
+# relative agreement of r_of_k's closed and direct ratios
+_R_CHECK_RTOL = 1e-6
+# the share of a cross-check's margin an FFT's bound may add to it; past
+# it the direct lag sum runs
+_FFT_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -167,10 +173,11 @@ def ark_excess(model, k):
     else:
         model_k = durbin_levinson(acov, k)
         value = model_k.v - model.sigma2_eps
-    # an FFT runs in the cross-check only if its bound fits in the margin,
-    # which it then widens
+    # an FFT runs in the cross-check only if its bound fits in a small
+    # share of the margin, which it then widens
     margin = _ARK_CHECK_RTOL * acov.values[0]
-    quad_v, quad_err = _innovation_variance(acov, model_k, margin)
+    quad_v, quad_err = innovation_variance_quadratic_form(
+        acov, model_k, _FFT_SHARE * margin)
     if abs(quad_v - model_k.v) > margin + quad_err:
         raise InternalConsistencyError(
             f"v(k) {model_k.v!r} disagrees with quadratic form {quad_v!r}"
@@ -197,13 +204,17 @@ def c_of_d(d):
 
 
 def _decomposition(d, k, sigma2_eps):
-    """The terms of ``excess_decomposition`` and the FFT bound on term1."""
+    """The terms of ``excess_decomposition`` and the FFT bound on term1,
+    at most a share _FFT_SHARE of ``r_of_k``'s margin _R_CHECK_RTOL |term1|:
+    past it the direct sum reruns and the bound is 0."""
     model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
     a = ar_inf_coeffs(model, k).values
     sig = exact_autocov(model, k).values
     delta = -fi_ark_closed_form(d, k).phi - a[1:]
     term1, term1_err = _toeplitz_quadratic_form(sig, delta, math.inf)
-    prod, _ = _toeplitz_matvec(sig, a, math.inf)
+    if term1_err > _FFT_SHARE * _R_CHECK_RTOL * abs(term1):
+        term1, term1_err = _toeplitz_quadratic_form(sig, delta, 0.0)
+    prod, _ = _toeplitz_matvec(sig, a)
     term2 = 2.0 * float(np.dot(delta, prod[1:]))
     term3 = truncation_excess(model, k)
     return {"term1": term1, "term2": term2, "term3": term3}, term1_err
@@ -230,7 +241,7 @@ def r_of_k(d, k):
     the direct (trunc - ark)/trunc cancels at small d; both share the
     certified truncation excess trunc = term3, so their 1e-6 relative
     agreement checks the projection identity term1 = trunc - ark, its
-    margin widened by the FFT bound on term1.
+    margin widened by the FFT bound on term1, at most a thousandth of it.
     """
     dec, term1_err = _decomposition(d, k, 1.0)
     trunc = dec["term3"]
@@ -238,7 +249,8 @@ def r_of_k(d, k):
     ark = ark_excess(LongMemoryModel.fi(d), k)
     r_direct = (trunc - ark) / trunc
     if (abs(r_closed - r_direct)
-            > 1e-6 * max(abs(r_direct), 1e-12) + term1_err / trunc):
+            > _R_CHECK_RTOL * max(abs(r_direct), 1e-12)
+            + term1_err / trunc):
         raise InternalConsistencyError(
             f"improvement ratio mismatch: closed-form {r_closed!r} vs "
             f"direct {r_direct!r}"

@@ -12,7 +12,7 @@ from scipy.special import gamma as Gamma
 from scipy.special import gammaln
 
 import longpred as lp
-from longpred import fraccoeff, toeplitz
+from longpred import fraccoeff, risk, toeplitz
 from longpred.cli import read_artifact
 from longpred.errors import (AccuracyError, DomainError,
                              InternalConsistencyError, StatisticalPowerError)
@@ -286,19 +286,44 @@ def test_ark_excess_fft_cross_check_catches_a_wrong_closed_form(monkeypatch):
         return dataclasses.replace(model_k, v=model_k.v + 1e-6 * sigma0)
 
     errs = []
-    kernel = toeplitz._innovation_variance
+    kernel = toeplitz.innovation_variance_quadratic_form
 
     def spy(acov, model_k, atol):
         v, err = kernel(acov, model_k, atol)
         errs.append(err)
         return v, err
 
-    monkeypatch.setattr("longpred.risk._innovation_variance", spy)
+    monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
+                        spy)
     lp.ark_excess(lp.LongMemoryModel.fi(0.3), 1600)
     monkeypatch.setattr("longpred.risk.fi_ark_closed_form", shifted)
     with pytest.raises(InternalConsistencyError):
         lp.ark_excess(lp.LongMemoryModel.fi(0.3), 1600)
     assert 0.0 < errs[0] < 1e-3 * 1e-8
+
+
+def test_cross_checks_take_the_direct_sum_past_the_fft_share(monkeypatch):
+    # an FFT may widen ark_excess's and r_of_k's margins by at most a
+    # thousandth of them; with no share left both lag sums run directly,
+    # so neither margin widens, and the ratio moves far below the check
+    d, k = 0.3, 1600
+    fft_r = lp.r_of_k(d, k)
+    terms, term1_err = risk._decomposition(d, k, 1.0)
+    assert 0.0 < term1_err <= 1e-3 * 1e-6 * terms["term1"]
+    errs = []
+    kernel = toeplitz.innovation_variance_quadratic_form
+
+    def spy(acov, model_k, atol):
+        v, err = kernel(acov, model_k, atol)
+        errs.append(err)
+        return v, err
+
+    monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
+                        spy)
+    monkeypatch.setattr("longpred.risk._FFT_SHARE", 0.0)
+    assert risk._decomposition(d, k, 1.0)[1] == 0.0
+    assert lp.r_of_k(d, k) == pytest.approx(fft_r, rel=1e-12)
+    assert errs == [0.0]
 
 
 def ark_excess_mpmath(d, k):
@@ -364,7 +389,7 @@ def test_ark_excess_refuses_before_the_cross_check(monkeypatch):
     def no_quadratic_form(acov, model_k, atol):
         raise AssertionError("O(k^2) cross-check ran")
 
-    monkeypatch.setattr("longpred.risk._innovation_variance",
+    monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
                         no_quadratic_form)
     monkeypatch.setattr("longpred.fraccoeff._ZETA_RTOL",
                         fraccoeff._ZETA_RTOL + 1e-8)

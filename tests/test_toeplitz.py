@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -98,7 +100,7 @@ def test_innovation_variance_identity(seed, k):
     rng = np.random.default_rng(seed)
     acov = random_pd_acov(rng, k)
     model_k = lp.durbin_levinson(acov, k)
-    quad = innovation_variance_quadratic_form(acov, model_k)
+    quad, _ = innovation_variance_quadratic_form(acov, model_k, np.inf)
     np.testing.assert_allclose(quad, model_k.v, rtol=1e-9)
 
 
@@ -133,7 +135,7 @@ def test_fft_toeplitz_product_lies_within_its_bound(dtype, n):
     # whose FFT length covers only the first n lags
     sig = lp.exact_autocov(lp.LongMemoryModel.fi(0.45), n).values
     x = np.random.default_rng(n).standard_normal(n)
-    prod, err = _toeplitz_matvec(sig.astype(dtype), x.astype(dtype), np.inf)
+    prod, err = _toeplitz_matvec(sig.astype(dtype), x.astype(dtype))
     assert err > 0.0
     mirrored = np.r_[sig[n - 1 : 0 : -1], sig[:n]].astype(_WIDE)
     exact = np.convolve(mirrored, x.astype(_WIDE), "valid")
@@ -147,10 +149,66 @@ def test_lag_products_below_the_crossover_are_np_correlate(dtype, n):
     assert err == 0.0
     assert np.array_equal(w, np.correlate(x, x, "full")[n - 1 :])
     sig = lp.exact_autocov(lp.LongMemoryModel.fi(0.3), n).values
-    prod, err = _toeplitz_matvec(sig, x.astype(float), np.inf)
+    prod, err = _toeplitz_matvec(sig, x.astype(float))
     assert err == 0.0
     assert np.array_equal(prod, np.convolve(
         np.r_[sig[n - 1 : 0 : -1], sig[:n]], x.astype(float), "valid"))
+
+
+def fixed_point_split(values):
+    """mpmath values v in [0, 1] as hi + lo: hi = v rounded to a multiple
+    of 2^-64, exact in long double, and lo the float nearest v - hi."""
+    scaled, lo = [], []
+    for v in values:
+        man, exp = v.man_exp
+        shift = -64 - exp
+        if shift <= 0:
+            scaled.append(man << -shift)
+            lo.append(0.0)
+        else:
+            n = (man + (1 << (shift - 1))) >> shift
+            scaled.append(n)
+            lo.append(math.ldexp(man - (n << shift), exp))
+    hi = (np.array([n >> 32 for n in scaled], dtype=_WIDE) * _WIDE(2.0) ** -32
+          + np.array([n & 0xFFFFFFFF for n in scaled], dtype=_WIDE)
+          * _WIDE(2.0) ** -64)
+    return hi, np.array(lo)
+
+
+def test_fft_twiddles_lie_within_the_assumed_error():
+    # the transform of a unit impulse at index 1 is exp(-2 pi i m / N),
+    # m = 0..N/2, which pocketfft returns through its twiddles; at every
+    # length 2^9..2^18 the lag products use, in both precisions, it must
+    # lie within the twiddle error mu = 16u that _fft_lag_error assumes.
+    # The 40-digit cos and sin of 2 pi m / 2^18 over the first octant give
+    # every other angle by symmetry.
+    top = 18
+    eighth = 1 << (top - 3)
+    with mpmath.workdps(40):
+        turns = [mpmath.mpf(m) / (1 << (top - 1)) for m in range(eighth + 1)]
+        cos_hi, cos_lo = fixed_point_split([mpmath.cospi(t) for t in turns])
+        sin_hi, sin_lo = fixed_point_split([mpmath.sinpi(t) for t in turns])
+    m = np.arange((1 << (top - 1)) + 1)
+    octant = np.minimum(m // eighth, 3)
+    j = np.where(octant % 2 == 0, m - octant * eighth,
+                 (octant + 1) * eighth - m)
+    swap = (octant == 1) | (octant == 2)
+    sign = np.where(octant >= 2, -1.0, 1.0)
+    cos_ref = (sign * np.where(swap, sin_hi[j], cos_hi[j]),
+               sign * np.where(swap, sin_lo[j], cos_lo[j]))
+    sin_ref = (np.where(swap, cos_hi[j], sin_hi[j]),
+               np.where(swap, cos_lo[j], sin_lo[j]))
+    for t in range(9, top + 1):
+        step = 1 << (top - t)
+        for dtype in (_WIDE, np.float64):
+            impulse = np.zeros(1 << t, dtype)
+            impulse[1] = 1.0
+            X = np.fft.rfft(impulse)
+            assert X.real.dtype == dtype
+            re = X.real.astype(_WIDE) - cos_ref[0][::step] - cos_ref[1][::step]
+            im = X.imag.astype(_WIDE) + sin_ref[0][::step] + sin_ref[1][::step]
+            err = np.max(np.hypot(re.astype(float), im.astype(float)))
+            assert err <= 16.0 * np.finfo(dtype).eps / 2.0, (t, dtype, err)
 
 
 @pytest.mark.parametrize("dtype", [_WIDE, np.float64])
@@ -177,8 +235,8 @@ def test_innovation_variance_quadratic_form_matches_dense(model, k):
     sig, phi = acov.values, model_k.phi
     dense = (sig[0] - 2.0 * np.dot(phi, sig[1 : k + 1])
              + phi @ acov.toeplitz(k) @ phi)
-    assert (abs(innovation_variance_quadratic_form(acov, model_k) - dense)
-            <= 1e-13 * sig[0])
+    quad, _ = innovation_variance_quadratic_form(acov, model_k, np.inf)
+    assert abs(quad - dense) <= 1e-13 * sig[0]
 
 
 def test_innovation_variance_monotone_on_fi():
