@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """The full Monte Carlo suite at deskside settings: 6-9 s and a peak RSS
-of 103 MB on a 2-core host (Python 3.11, numpy 2.4, scipy 1.17).  The
-sampler streams blocks of 16 paths into each consumer, so the peak is one
-block of the longest paths (65536 values, coeffcov_high), not all 400 of
-them.  Reruns write the same bytes, whatever the BLAS thread count.
+of 63 MB on a 2-core host (Python 3.11, numpy 2.4, scipy 1.17).  The
+sampler streams blocks of paths into each consumer, at most 2^16
+embedding values or one embedding a block, so the peak holds one of the
+longest paths (65536 values, coeffcov_high), not all 400 of them.
+Reruns write the same bytes, whatever the BLAS thread count.
 
 Artifacts in out/:
 * estimation_error.csv - wk-plugin vs exact predictor MSE over T (slope -1)

@@ -188,7 +188,10 @@ def _read_values(path, flag):
     reps = len({row.get("rep") for row in rows})
     if reps > 1:
         raise UsageError(f"{path}: {reps} replicates in its 'rep' column")
-    return SamplePath(values=values)
+    try:
+        return SamplePath(values=values)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ Wood & Chan 1994 allow any m >= 2(n-1)), so that every transform has a fast
 length: h = n for the power-of-two n of the Monte Carlo grids.  Its
 eigenvalues and paths are real transforms of a half spectrum of h + 1
 values, and a path is the first n values of a transform.  Replicates go
-through it in blocks of ``_BLOCK``, built in buffers allocated once per
-call, so ``path_blocks`` holds one block whatever the number of
-replicates.  If the embedding has an eigenvalue below -tol, or n = 1, the
-Durbin-Levinson innovations method (O(n^2), exact for any positive-definite
-prefix) takes over.  ``method`` may force either sampler.
+through it in blocks of max(1, min(16, 2^16 // m)): 16 up to n = 2049,
+one from n = 2^14 + 2 on.  The blocks are built in buffers allocated once
+per call, so ``path_blocks`` holds about 2 max(2^16, m) floats whatever
+the number of replicates.  If the embedding has an eigenvalue below -tol,
+or n = 1, the Durbin-Levinson innovations method (O(n^2), exact for any
+positive-definite prefix) takes over.  ``method`` may force either sampler.
 """
 
 import numpy as np
@@ -22,11 +23,14 @@ from .series import SamplePath
 from .toeplitz import _levinson_steps
 
 EIG_TOL_FACTOR = 1e-10  # tolerance = factor * max embedding eigenvalue
-# circulant replicates per transform and per yielded block; a path does not
-# depend on it.  One per transform pays the per-call cost of the transform
-# for every path; all at once holds a complex array several times the size
-# of the paths.
+# circulant replicates per transform and per yielded block: as many of the
+# size-m embeddings as fit ``_BLOCK_FLOATS`` values, at least one and at
+# most ``_BLOCK``.  A path does not depend on it.  One per transform pays
+# the per-call cost of the transform for every path, which only short
+# paths notice; 16 per transform at any length hold 2 * 16 * m floats,
+# 537 MB at n = 2^20, against 34 MB for one.
 _BLOCK = 16
+_BLOCK_FLOATS = 2**16
 
 
 def _five_smooth(n):
@@ -86,10 +90,10 @@ def _choose_method(acov, n, method):
 
 
 def _circulant_paths(sqrt_eig, n, reps, seed, stream):
-    """Yield (start, paths) for consecutive blocks of up to ``_BLOCK``
-    replicates, each path the first n values of one real transform of the
-    half spectrum w_0..w_h of a Hermitian vector of length
-    m = 2h = ``sqrt_eig.size``.
+    """Yield (start, paths) for consecutive blocks of up to
+    max(1, min(``_BLOCK``, ``_BLOCK_FLOATS`` // m)) replicates, each path
+    the first n values of one real transform of the half spectrum
+    w_0..w_h of a Hermitian vector of length m = 2h = ``sqrt_eig.size``.
 
     Replicate r's m normals z go straight into the float view of its row
     of w, that is Re w_0, Im w_0, ..., Re w_{h-1}, Im w_{h-1}; z_1 then
@@ -102,7 +106,7 @@ def _circulant_paths(sqrt_eig, n, reps, seed, stream):
     """
     m = sqrt_eig.size
     h = m // 2
-    rows = min(_BLOCK, reps)
+    rows = max(1, min(_BLOCK, _BLOCK_FLOATS // m, reps))
     w = np.empty((rows, h + 1), dtype=complex)
     wf = w.view(float)
     y = np.empty((rows, m))
@@ -111,8 +115,8 @@ def _circulant_paths(sqrt_eig, n, reps, seed, stream):
     scale[0], scale[m] = sqrt_eig[0], sqrt_eig[h]
     scale[2:m:2], scale[3:m:2] = half, -half
     root_m = np.sqrt(m)
-    for start in range(0, reps, _BLOCK):
-        b = min(_BLOCK, reps - start)
+    for start in range(0, reps, rows):
+        b = min(rows, reps - start)
         for i in range(b):
             normals(derive_rng(seed, *stream, start + i), m, out=wf[i, :m])
         wf[:b, m] = wf[:b, 1]
@@ -156,9 +160,10 @@ def path_blocks(acov, n, reps, seed, stream=(), method="auto"):
     block is a (rows, n) array holding replicates start..start+rows-1, and
     the blocks cover 0..reps-1 in order.
 
-    The circulant sampler yields blocks of ``_BLOCK`` rows, each written
-    over the previous one in the same buffer, so the memory is one block
-    whatever ``reps`` is; a caller must consume (or copy) a block before it
+    The circulant sampler yields blocks of at most ``_BLOCK`` rows, fewer
+    for long paths (see ``_circulant_paths``), each written over the
+    previous one in the same buffer, so the memory is one block whatever
+    ``reps`` is; a caller must consume (or copy) a block before it
     asks for the next.  The innovations sampler yields all replicates as
     one block.  The arguments are checked when this is called.
     """

@@ -51,13 +51,20 @@ def _levinson_steps(sig, n):
     if sig[0] <= 0.0:
         raise NotPositiveDefiniteError(0, "sigma(0) must be positive")
     phi = np.zeros(n)
+    # sig[t-1], ..., sig[1] is the contiguous slice rev[n-t+1 :], which
+    # np.dot takes as it is (it copies a reversed view), and the update
+    # goes through one scratch vector: no step copies an array
+    rev = sig[n:0:-1].copy()
+    tmp = np.empty(n)
     v = sig[0]
     for t in range(1, n + 1):
-        acc = sig[t] - np.dot(phi[: t - 1], sig[t - 1 : 0 : -1])
+        acc = sig[t] - np.dot(phi[: t - 1], rev[n - t + 1 :])
         refl = acc / v
-        if not np.isfinite(refl) or abs(refl) >= 1.0:
+        if not math.isfinite(refl) or abs(refl) >= 1.0:
             raise NotPositiveDefiniteError(t)
-        phi[: t - 1] -= refl * phi[: t - 1][::-1]
+        head = phi[: t - 1]
+        np.multiply(refl, head[::-1], out=tmp[: t - 1])
+        np.subtract(head, tmp[: t - 1], out=head)
         phi[t - 1] = refl
         v *= 1.0 - refl * refl
         if v <= 0.0:

@@ -377,6 +377,27 @@ def test_missing_input_file_is_a_usage_error_naming_its_flag(
     assert not pathlib.Path("paths").exists()
 
 
+@pytest.mark.parametrize("flag, args", [
+    ("--sample", ["fit"]),
+    ("--window", ["predict", "--method", "ark", "--model", MODEL_ARG,
+                  "--k", 2]),
+    ("--train", ["predict", "--method", "ark-plugin", "--k", 2,
+                 "--window", "w.csv"]),
+])
+def test_non_finite_sample_is_a_usage_error_naming_flag_and_file(
+        tmp_path, capsys, monkeypatch, flag, args):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("w.csv").write_text("value\n1.0\n2.0\n")
+    pathlib.Path("nan.csv").write_text(
+        "value\n" + "".join(f"{np.sin(t):.17g}\n" for t in range(63))
+        + "nan\n")
+    assert run(args + [flag, "nan.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: nan.csv: "), captured.err
+    assert "finite" in captured.err, captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("values", [[1.5] * 64, [1.5, -2.0] * 32])
 @pytest.mark.parametrize("flag, args", [
     ("--sample", ["fit"]),

@@ -284,6 +284,31 @@ def test_circulant_sampler_memory_is_the_paths_plus_a_block():
     assert peak < 2 * 400 * 32768 * 8
 
 
+def test_long_circulant_blocks_hold_one_embedding_at_a_time():
+    # sixteen replicates per transform would trace 37 MB here
+    acov = fi_acov(0.4, 65535)
+    tracemalloc.start()
+    try:
+        for _ in path_blocks(acov, 65536, 16, 1, method="circulant"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("n", [2, 1025, 4097, 32768, 65536])
+def test_circulant_block_rows_fit_the_value_budget(n):
+    acov = fi_acov(0.4, n - 1)
+    m = 2 * _five_smooth(n - 1)
+    rows = max(1, min(16, 2**16 // m))
+    reps = 2 * rows + 1
+    sizes = [len(block) for _, block in
+             path_blocks(acov, n, reps, 3, method="circulant")]
+    assert sum(sizes) == reps
+    assert max(sizes) <= rows
+
+
 def test_path_lengths_one_and_two():
     acov = fi_acov(0.3, 4, sigma2=4.0)
     sigma0 = acov.values[0]
