@@ -24,8 +24,7 @@ from .risk import (SlopeReport, ark_excess, c_of_d, coeffcov_scaling,
 from .series import SamplePath
 from .simulate import gaussian_paths
 from .spectral import (Periodogram, WhittleFit, periodogram,
-                       periodogram_ordinate, whittle_fit, whittle_objective,
-                       whittle_profiled_sigma2)
+                       periodogram_ordinate, whittle_fit)
 from .toeplitz import (ArkModel, durbin_levinson, empirical_autocov,
                        fi_ark_closed_form, toeplitz_solve)
 
@@ -43,7 +42,6 @@ __all__ = [
     "h_covariance_check", "ma_inf_coeffs",
     "model_from_json", "model_to_json", "periodogram",
     "periodogram_ordinate", "r_of_k", "spectral_density", "toeplitz_solve",
-    "truncation_excess", "whittle_fit", "whittle_objective",
-    "whittle_profiled_sigma2", "wk_plugin_predict", "wk_plugin_scaling",
-    "wk_truncated_predict",
+    "truncation_excess", "whittle_fit", "wk_plugin_predict",
+    "wk_plugin_scaling", "wk_truncated_predict",
 ]

@@ -448,18 +448,6 @@ def wk_plugin_scaling(d, k, T_grid, reps, seed):
                        _wk_plugin_point(d, k, T_grid, reps, seed))
 
 
-def wk_plugin_order_scaling(d, T, k_grid, reps, seed):
-    """Companion experiment varying k at fixed T.  The theory gives only an
-    upper bound O(k^{2d}) in k, so slopes well below 2d are expected."""
-    model = LongMemoryModel.fi(d)
-    k_max = max(map(int, k_grid))
-    point = _forecast_errors(2, exact_autocov(model, T),
-                             exact_autocov(model, k_max), _whittle_ar,
-                             ar_inf_coeffs(model, k_max).values[1:], reps,
-                             seed)
-    return _mc_scaling(k_grid, reps, lambda i, k: point(i, T, k))
-
-
 def covmoment_scaling(d, n_grid, reps, seed):
     """MC slope of E[(sigma_hat(0) - sigma(0))^2] against the path length.
 

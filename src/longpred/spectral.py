@@ -82,27 +82,6 @@ def periodogram(sample):
     return Periodogram(freqs=freqs, values=values, T=T)
 
 
-def _gd(freqs, d):
-    return (2.0 * np.sin(freqs / 2.0)) ** (-2.0 * d)
-
-
-def whittle_objective(pgram, d):
-    """Profiled Whittle contrast at memory parameter d."""
-    if not (0.0 < d < 0.5):
-        raise DomainError(f"d={d} outside ]0, 1/2[")
-    g = _gd(pgram.freqs, d)
-    ratio_mean = np.mean(pgram.values / g)
-    if ratio_mean <= 0.0 or not np.isfinite(ratio_mean):
-        return math.inf
-    return float(np.log(ratio_mean) + np.mean(np.log(g)))
-
-
-def whittle_profiled_sigma2(pgram, d):
-    """Innovation variance profiled out of the Whittle contrast."""
-    g = _gd(pgram.freqs, d)
-    return float(2.0 * np.pi * np.mean(pgram.values / g))
-
-
 def _contrast_slope(values, L, L_sq, L_mean, d):
     """D(d), D'(d) and mean_j w_j of the profiled contrast, with weights
     w_j = I_j e^{2 d L_j}."""

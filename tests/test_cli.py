@@ -15,6 +15,12 @@ from longpred.cli import _config_hash, _parse, main, read_artifact
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+_spec = importlib.util.spec_from_file_location(
+    "reproduce", ROOT / "scripts" / "reproduce.py")
+_reproduce = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_reproduce)
+EXPERIMENTS = _reproduce.EXPERIMENTS
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -605,65 +611,30 @@ def test_config_must_be_an_object(tmp_path):
     assert run(["cd-curve", "--config", cfg, "--out", tmp_path / "o.csv"]) == 2
 
 
-def load_script(name):
-    """The module of ``scripts/<name>.py``, loaded afresh."""
-    spec = importlib.util.spec_from_file_location(
-        name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_every_committed_artifact_has_one_experiment():
+    assert sorted(EXPERIMENTS) == sorted(os.listdir(ROOT / "out"))
 
 
-@pytest.mark.parametrize("script,count", [
-    ("reproduce_curves", 2), ("run_rate_checks", 2), ("run_mc_suite", 7)])
-def test_script_config_hashes_match_committed_artifacts(script, count,
-                                                        monkeypatch):
-    module = load_script(script)
-    seen = []
-
-    def parse_only(argv):
-        args, config = _parse(argv)
-        seen.append((args.out, _config_hash(config)))
-        return 0
-
-    monkeypatch.setattr(module, "main", parse_only)
-    assert module.run() == 0
-    assert len(seen) == count
-    for out, digest in seen:
-        meta, _ = read_artifact(out)
-        assert meta["config-hash"] == digest, out
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_config_hash_matches_committed_artifact(name):
+    _, config = _parse(EXPERIMENTS[name] + ["--out", name])
+    meta, _ = read_artifact(ROOT / "out" / name)
+    assert meta["config-hash"] == _config_hash(config)
 
 
-@pytest.mark.parametrize("script,names", [
-    ("reproduce_curves", ["cd_curve.csv", "ratio_curve.csv"]),
-    ("run_rate_checks", ["trunc_rate.csv", "ark_rate.csv"])])
-def test_analytic_scripts_regenerate_committed_artifacts(script, names,
-                                                         tmp_path,
-                                                         monkeypatch):
-    # the analytic artifacts hold no Monte Carlo, so a rerun of their
-    # script must give the committed bytes
-    module = load_script(script)
-    monkeypatch.setattr(module, "OUT", tmp_path)
-    assert module.run() == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
-    for name in names:
-        assert ((tmp_path / name).read_bytes()
-                == (ROOT / "out" / name).read_bytes()), name
-
-
-def test_mc_suite_regenerates_committed_covmoment_low(tmp_path,
-                                                      monkeypatch):
-    # one Monte Carlo artifact of the suite, rerun from its own argv: its
-    # path estimates and exact column both rest on sigma(0)
-    module = load_script("run_mc_suite")
-    argvs = []
-    monkeypatch.setattr(module, "main", lambda argv: argvs.append(argv) or 0)
-    monkeypatch.setattr(module, "OUT", tmp_path)
-    assert module.run() == 0
-    out = tmp_path / "covmoment_low.csv"
-    [argv] = [a for a in argvs if a[-1] == str(out)]
-    assert main(argv) == 0
-    assert out.read_bytes() == (ROOT / "out" / out.name).read_bytes()
+# The analytic rows hold no Monte Carlo, and the three Monte Carlo rows here
+# use only the circulant sampler, einsum sums and Yule-Walker fits, so a
+# rerun must give the committed bytes.  Left out: coeffcov_high.csv (3.9 s
+# on its own) and the Whittle rows (estimation_error.csv, whittle_mc.csv,
+# total_error.csv), whose np.exp/np.log last bits may follow the CPU's SIMD
+# path.
+@pytest.mark.parametrize("name", [
+    "cd_curve.csv", "ratio_curve.csv", "trunc_rate.csv", "ark_rate.csv",
+    "covmoment_low.csv", "coeffcov_low.csv", "covmoment_high.csv"])
+def test_experiment_regenerates_committed_artifact(name, tmp_path):
+    out = tmp_path / name
+    assert main(EXPERIMENTS[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "out" / name).read_bytes()
 
 
 @pytest.mark.parametrize("config, code", [({"steps": 2}, 0),

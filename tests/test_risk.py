@@ -17,8 +17,7 @@ from longpred.cli import read_artifact
 from longpred.errors import (AccuracyError, DomainError,
                              InternalConsistencyError, StatisticalPowerError)
 from longpred.fraccoeff import _fi_delta, _fi_log_ratio
-from longpred.risk import (excess_decomposition, h_sandwich,
-                           wk_plugin_order_scaling)
+from longpred.risk import excess_decomposition, h_sandwich
 from longpred.tails import powerlaw_tail_sum
 
 from farima_filter_oracle import MODELS, truncation_excess_inline
@@ -746,10 +745,17 @@ def test_wk_plugin_scaling_fixture(wk_plugin_report):
 
 
 def test_wk_plugin_order_scaling_upper_bound():
-    # varying k at fixed T: the k^{2d} factor is only an upper bound, so
-    # the measured slope must not exceed 2d by more than noise
-    report = wk_plugin_order_scaling(0.3, 2048, [8, 16, 32, 64], 100, seed=11)
-    assert report.slope <= 2 * 0.3 + 0.3
+    # the wk-plugin experiment varying k at fixed T (stream id 2): the
+    # k^{2d} factor is only an upper bound, so the measured slope must not
+    # exceed 2d by more than noise
+    d, T, k_grid, reps = 0.3, 2048, [8, 16, 32, 64], 100
+    model = lp.LongMemoryModel.fi(d)
+    point = risk._forecast_errors(
+        2, lp.exact_autocov(model, T), lp.exact_autocov(model, 64),
+        risk._whittle_ar, lp.ar_inf_coeffs(model, 64).values[1:], reps,
+        seed=11)
+    report = risk._mc_scaling(k_grid, reps, lambda i, k: point(i, T, k))
+    assert report.slope <= 2 * d + 0.3
 
 
 def test_statistical_power_guard():

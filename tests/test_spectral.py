@@ -8,7 +8,8 @@ from longpred import spectral
 from longpred.errors import DomainError, EstimationError
 from longpred.series import SamplePath
 
-from whittle_oracle import grid_golden_d_hat
+from whittle_oracle import (grid_golden_d_hat, whittle_objective,
+                            whittle_profiled_sigma2)
 
 
 def test_constant_sample_has_zero_periodogram():
@@ -82,7 +83,7 @@ def test_flat_periodogram_prefers_smallest_d():
     flat = lp.Periodogram(freqs=pgram.freqs,
                           values=np.full_like(pgram.values, 0.2), T=pgram.T)
     grid = np.linspace(0.01, 0.49, 25)
-    objs = [lp.whittle_objective(flat, d) for d in grid]
+    objs = [whittle_objective(flat, d) for d in grid]
     assert int(np.argmin(objs)) == 0
     assert np.all(np.isfinite(objs))
 
@@ -95,7 +96,7 @@ def test_noiseless_self_consistency():
     synthetic = lp.Periodogram(freqs=freqs,
                                values=lp.spectral_density(model, freqs), T=T)
     grid = np.arange(0.05, 0.45, 0.001)
-    objs = [lp.whittle_objective(synthetic, d) for d in grid]
+    objs = [whittle_objective(synthetic, d) for d in grid]
     best = grid[int(np.argmin(objs))]
     assert best == pytest.approx(0.30, abs=0.001)
 
@@ -107,16 +108,16 @@ def test_profiled_sigma2_self_consistency():
     model = lp.LongMemoryModel.fi(0.3, sigma2_eps=2.0)
     synthetic = lp.Periodogram(freqs=freqs,
                                values=lp.spectral_density(model, freqs), T=T)
-    np.testing.assert_allclose(lp.whittle_profiled_sigma2(synthetic, 0.3), 2.0,
+    np.testing.assert_allclose(whittle_profiled_sigma2(synthetic, 0.3), 2.0,
                                rtol=0.01)
 
 
 def test_objective_domain():
     pgram = lp.periodogram(SamplePath(values=np.arange(64.0)))
     with pytest.raises(DomainError):
-        lp.whittle_objective(pgram, 0.0)
+        whittle_objective(pgram, 0.0)
     with pytest.raises(DomainError):
-        lp.whittle_objective(pgram, 0.5)
+        whittle_objective(pgram, 0.5)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -124,7 +125,7 @@ def test_objective_finite_for_random_samples(seed):
     rng = np.random.default_rng(seed)
     pgram = lp.periodogram(SamplePath(values=rng.normal(size=96)))
     for d in (0.01, 0.1, 0.25, 0.49):
-        assert np.isfinite(lp.whittle_objective(pgram, d))
+        assert np.isfinite(whittle_objective(pgram, d))
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +176,9 @@ def test_fit_is_the_root_of_the_contrast_derivative(T):
             interior += 1
             assert _contrast_derivative(pgram, fit.d_hat - 1e-9) < 0.0
             assert _contrast_derivative(pgram, fit.d_hat + 1e-9) > 0.0
-        grid_min = min(lp.whittle_objective(pgram, d)
+        grid_min = min(whittle_objective(pgram, d)
                        for d in np.linspace(lo, hi, 50))
-        assert lp.whittle_objective(pgram, fit.d_hat) <= grid_min
+        assert whittle_objective(pgram, fit.d_hat) <= grid_min
         assert abs(fit.d_hat - grid_golden_d_hat(sample)) <= 1e-5
     assert interior >= 3
 
