@@ -42,6 +42,10 @@ _WIDE_EPS = float(np.finfo(_WIDE).eps)
 _ARMA_TAIL = 2.0 ** -60
 _H_MAX = 1 << 13
 _AUTOCOV_RTOL = 1e-8  # per lag, certified by exact_autocov for FARIMA
+# float64 np.convolve sums each lag by BLAS ddot, which OpenBLAS may split
+# across its threads: FARIMA kernels 2H + 1 of this length gave the same
+# bits under one and two threads, and of 10 001 lags did not
+_FLOAT_KERNEL = 9001
 # the FI gamma-ratio series sums 20 terms, the last below 9^-19 of the
 # first; SciPy's Hurwitz zeta(2m, q) is charged twice its largest error
 # measured against an mpmath Euler-Maclaurin sum, at most (m + 2) eps at
@@ -54,8 +58,22 @@ def _roundoff(n, eps=_EPS):
     """Relative round-off bound 8 sqrt(n) u (u = eps/2) after n roundings:
     the probabilistic bound of Higham and Mary (SIAM J. Sci. Comput. 41,
     2019), failing with probability below 2n exp(-32), where the worst-case
-    n u rejects sums of thousands of terms that are accurate to 1e-12."""
+    n u rejects sums of thousands of terms that are accurate to 1e-12.
+
+    Its premise is rounding errors that are independent, so it is charged
+    to sums and filters only.  The FI ratio recursions ``_fi_acf`` and
+    ``_fi_ar_values`` break it: j + d drops the same low bits of d at every
+    j in a binade, and float ``_fi_acf`` at lag 8000 is 4.0e-13 off against
+    mpmath, 2.5 times this bound.  They are charged ``_worst_roundoff``."""
     return 4.0 * eps * np.sqrt(n)
+
+
+def _worst_roundoff(n, eps=_EPS):
+    """Relative round-off bound gamma_n = n u/(1 - n u) (u = eps/2) after n
+    roundings of any sign pattern (Higham 2002, Accuracy and Stability of
+    Numerical Algorithms, Lemma 3.1)."""
+    nu = 0.5 * eps * np.asarray(n, dtype=float)
+    return nu / (1.0 - nu)
 
 
 def _check_disk_free(coeffs_ascending, name):
@@ -307,13 +325,11 @@ def _fi_delta(d):
     return delta, err * (1.0 + delta) + _EPS * delta
 
 
-def _farima_autocov(model, m):
-    """sigma(0..m) of a FARIMA model in wide precision and a relative error
-    bound per lag, by ARMA x FI splitting (Bertelli and Caporin 2002, J.
-    Time Ser. Anal.): sigma(h) = sigma2 (1 + delta) sum_{|j|<=H} g(j)
-    rho_FI(h - j), g the autocovariance of the impulse response psi of
-    theta(B)/phi(B).  The bound adds round-off, the error of delta and the
-    mass of psi beyond H."""
+def _arma_impulse(model, dtype):
+    """The impulse response psi_0..psi_2H of theta(B)/phi(B) in the
+    precision of dtype, and its cutoff H, where the largest inverse AR root
+    modulus R gives R^(H - q) <= 2^-60.  H above _H_MAX raises
+    AccuracyError."""
     phi, theta = _arma_polys(model)
     p, q = phi.size - 1, theta.size - 1
     H = q
@@ -324,26 +340,55 @@ def _farima_autocov(model, m):
             raise AccuracyError(
                 f"AR root of modulus {1.0 / R:.9g} needs an ARMA cutoff "
                 f"H = {H} > {_H_MAX}", achieved=float(R ** (_H_MAX - q)))
-    impulse = np.zeros(2 * H + 1, _WIDE)
+    impulse = np.zeros(2 * H + 1, dtype)
     impulse[0] = 1.0
-    psi = _arma_filter(theta.astype(_WIDE), phi.astype(_WIDE), impulse)
+    return _arma_filter(theta.astype(dtype), phi.astype(dtype), impulse), H
+
+
+def _farima_autocov(model, m, dtype):
+    """sigma(0..m) of a FARIMA model in the precision of dtype and a
+    relative error bound per lag, by ARMA x FI splitting (Bertelli and
+    Caporin 2002, J. Time Ser. Anal.): sigma(h) = sigma2 (1 + delta)
+    sum_{|j|<=H} g(j) rho_FI(h - j), g the autocovariance of the impulse
+    response psi of theta(B)/phi(B).
+
+    The bound, in dtype's epsilon, charges the FI ratio recursion its
+    worst case, since its errors are systematic (see ``_roundoff``).  Each
+    step rounds 4 times, so rho_FI(i) is off by a factor within
+    gamma_{4i}, and rho_FI(|h - j|), |j| <= H, by one within gamma_{4H} of
+    rho_FI(h)'s (Higham 2002, Lemma 3.1).  Lag h thus carries gamma_{4h} of
+    its value plus gamma_{4H} of the sum of its terms' magnitudes.  The
+    filter and the two sums are charged the probabilistic ``_roundoff`` of
+    that magnitude.  The bound adds the three roundings of the scaling, the
+    error of delta and the mass of psi beyond H.  rho_FI > 0, so where psi
+    has no negative entry every term is non-negative and the magnitudes
+    sum to the value itself."""
+    p, q = len(model.ar_poly), len(model.ma_poly)
+    eps = float(np.finfo(dtype).eps)
+    psi, H = _arma_impulse(model, dtype)
     psi_abs = np.abs(psi).astype(float)
     g = np.correlate(psi, psi, "full")[2 * H : 3 * H + 1]  # lags 0..H
-    g_abs = np.correlate(psi_abs, psi_abs, "full")[2 * H : 3 * H + 1]
     delta, delta_err = _fi_delta(model.d)
-    r = _fi_acf(_WIDE(model.d), m + H)
+    r = _fi_acf(dtype(model.d), m + H)
     r_ext = np.r_[r[H:0:-1], r]  # lags -H..m+H
     corr = np.convolve(r_ext, np.r_[g[:0:-1], g], "valid")
-    values = model.sigma2_eps * (1 + _WIDE(delta)) * corr
-    mag = np.convolve(r_ext.astype(float), np.r_[g_abs[:0:-1], g_abs], "valid")
+    values = model.sigma2_eps * (1 + dtype(delta)) * corr
+    corr_abs = np.maximum(np.abs(corr).astype(float), _TINY)
+    if np.any(psi < 0):
+        g_abs = np.correlate(psi_abs, psi_abs, "full")[2 * H : 3 * H + 1]
+        mag = np.convolve(r_ext.astype(float), np.r_[g_abs[:0:-1], g_abs],
+                          "valid") / corr_abs
+    else:
+        mag = 1.0
     # psi beyond 2H is below 2^-60 of psi beyond H: twice the mass on
     # H < i <= 2H bounds the whole tail
     tail = 2.0 * np.sum(psi_abs[H + 1 :])
-    roundings = 4 * (m + H) + (4 * (p + q) + 10) * (2 * H + 1)
-    bound = (_roundoff(roundings, _WIDE_EPS) * mag
-             + 3.0 * np.sum(psi_abs) * tail)
-    return values, (bound / np.maximum(np.abs(corr).astype(float), _TINY)
-                    + delta_err / (1.0 + delta))
+    lag = _worst_roundoff(4 * np.arange(m + 1), eps)
+    window = (1.0 + lag) * _worst_roundoff(4 * H, eps)
+    sums = _roundoff((4 * (p + q) + 10) * (2 * H + 1), eps)
+    return values, (lag + (window + sums) * mag
+                    + 3.0 * np.sum(psi_abs) * tail / corr_abs
+                    + _worst_roundoff(3, eps) + delta_err / (1.0 + delta))
 
 
 def exact_autocov(model, m):
@@ -352,10 +397,14 @@ def exact_autocov(model, m):
     FI scales the ratio recursion of rho(h) by sigma(0), the exp of the
     k = 0 series of ``_fi_log_ratio``.  FARIMA convolves the FI
     autocovariances over lags -H..m+H with the autocovariances of the ARMA
-    impulse response, cut at H where the largest inverse AR root modulus R
-    gives R^(H - q) <= 2^-60.  Each FARIMA lag is certified to 1e-8
-    relative; a larger bound, or an AR root so close to the unit circle
-    that H > 8192, raises AccuracyError.
+    impulse response psi, cut at H where the largest inverse AR root
+    modulus R gives R^(H - q) <= 2^-60.  Where psi has no negative entry
+    nothing in the sums cancels, and they run in float64 if the kernel
+    2H + 1 has at most ``_FLOAT_KERNEL`` lags; otherwise they run in the
+    platform's widest float.  The route depends on the model alone, so a
+    longer sequence extends a shorter one bit for bit.  Each FARIMA lag is
+    certified to 1e-8 relative; a larger bound, or an AR root so close to
+    the unit circle that H > 8192, raises AccuracyError.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -363,7 +412,10 @@ def exact_autocov(model, m):
         values = (model.sigma2_eps * math.exp(_fi_log_ratio(model.d, 0)[0])
                   * _fi_acf(model.d, m))
     else:
-        values, rel = _farima_autocov(model, m)
+        psi, _ = _arma_impulse(model, np.float64)
+        in_float = psi.size <= _FLOAT_KERNEL and not np.any(psi < 0)
+        values, rel = _farima_autocov(model, m,
+                                      np.float64 if in_float else _WIDE)
         achieved = float(np.max(rel)) + _EPS
         if achieved > _AUTOCOV_RTOL:
             raise AccuracyError(

@@ -28,6 +28,7 @@ from .errors import (AccuracyError, DomainError, InternalConsistencyError,
 from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
                         _arma_filter, _arma_polys, _farima_autocov, _fi_acf,
                         _fi_ar_values, _fi_delta, _fi_log_ratio, _roundoff,
+                        _worst_roundoff,
                         ar_inf_coeffs, exact_autocov)
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
@@ -91,29 +92,36 @@ def truncation_excess(model, k):
     h = np.arange(1, k + 1)
     if model.is_pure_fractional:
         rho = _fi_acf(_WIDE(model.d), k)[1:]
-        rho_err = _roundoff(4 * h, _WIDE_EPS)
+        rho_err = _worst_roundoff(4 * h, _WIDE_EPS)
         delta, delta_err = _fi_delta(model.d)
-        steps = 3  # roundings per step of the coefficient recursion
+        steps = 0  # roundings per step of the ARMA filter
     else:
         phi, theta = _arma_polys(model)
         a = _arma_filter(phi.astype(_WIDE), theta.astype(_WIDE), a)
-        s, rel = _farima_autocov(model, k)
+        s, rel = _farima_autocov(model, k, _WIDE)
         rho = s[1:] / s[0]
         rho_err = rel[1:] + rel[0] + _WIDE_EPS
         delta = s[0] / model.sigma2_eps - 1
         delta_err = float(1 + delta) * (rel[0] + _WIDE_EPS)
-        steps = 3 + 2 * (phi.size + theta.size - 1)
+        steps = 2 * (phi.size + theta.size - 1)
     a = a[1:]
     # round-off bound: a term of b carries the roundings on its own path,
     # a_h from the recursion plus the final sum, a tail product both
     # factors' recursions plus two sums of k terms; the float lag products
-    # of |a| plus their own bound bound those of |a| at every lag
+    # of |a| plus their own bound bound those of |a| at every lag.  The FI
+    # recursions, 3 roundings a step for a_h and 4 for rho_h, are charged
+    # their worst case (see fraccoeff._roundoff), the filter and the sums
+    # the probabilistic bound, except in the tail products: long_sum
+    # charges their factors' 6 FI roundings a step probabilistically too,
+    # since the worst case would charge FI(0.1) 6.9e-9 at k = 102 400
     a_abs, r_abs = np.abs(a).astype(float), np.abs(rho).astype(float)
     tail_abs, abs_err = _lag_products(a_abs, a_abs, k, math.inf)
     tail_abs = tail_abs + abs_err
     tail_w = np.r_[tail_abs[1:], 0.0]
-    long_sum = _roundoff((2 * steps + 2) * k + 3, _WIDE_EPS)
-    w_err = _roundoff(steps * h + k + 3, _WIDE_EPS) * a_abs + long_sum * tail_w
+    long_sum = _roundoff((2 * steps + 8) * k + 3, _WIDE_EPS)
+    w_err = ((_worst_roundoff(3 * h, _WIDE_EPS)
+              + _roundoff(steps * h + k + 3, _WIDE_EPS)) * a_abs
+             + long_sum * tail_w)
     b_err = (long_sum * tail_abs[0]
              + 2.0 * np.dot(w_err + rho_err * (a_abs + tail_w), r_abs))
     # an FFT's bound on the 2-norm of tail's error meets rho by

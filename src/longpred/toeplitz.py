@@ -50,21 +50,19 @@ def _levinson_steps(sig, n):
     """
     if sig[0] <= 0.0:
         raise NotPositiveDefiniteError(0, "sigma(0) must be positive")
+    # the scalar steps run on Python floats, which round as IEEE doubles
+    # too; sig[t-1], ..., sig[1] is the contiguous slice rev[n-t+1 :],
+    # which np.dot takes as it is (it copies a reversed view)
+    s = sig[: n + 1].tolist()
     phi = np.zeros(n)
-    # sig[t-1], ..., sig[1] is the contiguous slice rev[n-t+1 :], which
-    # np.dot takes as it is (it copies a reversed view), and the update
-    # goes through one scratch vector: no step copies an array
     rev = sig[n:0:-1].copy()
-    tmp = np.empty(n)
-    v = sig[0]
+    v = s[0]
     for t in range(1, n + 1):
-        acc = sig[t] - np.dot(phi[: t - 1], rev[n - t + 1 :])
-        refl = acc / v
-        if not math.isfinite(refl) or abs(refl) >= 1.0:
+        refl = (s[t] - float(np.dot(phi[: t - 1], rev[n - t + 1 :]))) / v
+        if not abs(refl) < 1.0:  # NaN and +-inf too
             raise NotPositiveDefiniteError(t)
         head = phi[: t - 1]
-        np.multiply(refl, head[::-1], out=tmp[: t - 1])
-        np.subtract(head, tmp[: t - 1], out=head)
+        head -= refl * head[::-1]
         phi[t - 1] = refl
         v *= 1.0 - refl * refl
         if v <= 0.0:

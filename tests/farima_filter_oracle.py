@@ -42,22 +42,22 @@ def ma_inf_inline(model, n):
     return _clamp_subnormal(lfilter(theta, phi, _fi_ar_values(-model.d, n)))[0]
 
 
-def farima_autocov_inline(model, m):
-    """sigma(0..m) in wide precision by ARMA x FI splitting."""
+def farima_autocov_inline(model, m, dtype):
+    """sigma(0..m) in the precision of dtype by ARMA x FI splitting."""
     phi, theta = arma_polys(model)
     H = theta.size - 1
     if phi.size > 1:
         R = 1.0 / np.min(np.abs(npoly.polyroots(phi)))
         H += math.ceil(math.log(2.0 ** -60) / math.log(R))
-    impulse = np.zeros(2 * H + 1, WIDE)
+    impulse = np.zeros(2 * H + 1, dtype)
     impulse[0] = 1.0
-    psi = lfilter(theta.astype(WIDE), phi.astype(WIDE), impulse)
+    psi = lfilter(theta.astype(dtype), phi.astype(dtype), impulse)
     g = np.correlate(psi, psi, "full")[2 * H : 3 * H + 1]
     delta = _fi_delta(model.d)[0]
-    r = _fi_acf(WIDE(model.d), m + H)
+    r = _fi_acf(dtype(model.d), m + H)
     r_ext = np.r_[r[H:0:-1], r]
     corr = np.convolve(r_ext, np.r_[g[:0:-1], g], "valid")
-    return model.sigma2_eps * (1 + WIDE(delta)) * corr
+    return model.sigma2_eps * (1 + dtype(delta)) * corr
 
 
 def truncation_excess_inline(model, k):
@@ -65,7 +65,7 @@ def truncation_excess_inline(model, k):
     phi, theta = arma_polys(model)
     a = lfilter(phi.astype(WIDE), theta.astype(WIDE),
                 _fi_ar_values(WIDE(model.d), k))[1:]
-    s = farima_autocov_inline(model, k)
+    s = farima_autocov_inline(model, k, WIDE)
     rho = s[1:] / s[0]
     delta = s[0] / model.sigma2_eps - 1
     tail = np.correlate(a, a, "full")[k - 1 :]

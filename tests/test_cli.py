@@ -804,6 +804,19 @@ def test_monte_carlo_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
+def test_float_farima_autocov_does_not_depend_on_blas_threads():
+    # the float64 route sums each lag by BLAS ddot over the kernel 2H + 1,
+    # 8279 lags here, which is short enough that OpenBLAS keeps one thread
+    code = ("import hashlib, longpred as lp; "
+            "model = lp.LongMemoryModel.farima(0.01, ar=(0.99,)); "
+            "values = lp.exact_autocov(model, 3000).values; "
+            "print(hashlib.sha256(values.tobytes()).hexdigest())")
+    digests = {run_fresh(code, env={"OPENBLAS_NUM_THREADS": threads,
+                                    "OMP_NUM_THREADS": threads})
+               for threads in ("1", "2")}
+    assert len(digests) == 1
+
+
 def test_covmoment_artifact_has_the_exact_reference(tmp_path):
     out = tmp_path / "cm.csv"
     assert run(["covmoment-mc", "--d", 0.2, "--n-grid", "256,512", "--reps",

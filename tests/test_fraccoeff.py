@@ -11,11 +11,13 @@ from scipy.special import zeta
 
 import longpred as lp
 from longpred.errors import AccuracyError, DomainError
-from longpred.fraccoeff import (_FI_SERIES_TERMS, _ZETA_RTOL, _arma_filter,
-                                _arma_polys, _clamp_subnormal, _fi_ar_values,
-                                model_from_json, model_to_json)
+from longpred.fraccoeff import (_EPS, _FI_SERIES_TERMS, _ZETA_RTOL,
+                                _arma_filter, _arma_polys, _clamp_subnormal,
+                                _farima_autocov, _fi_acf, _fi_ar_values,
+                                _worst_roundoff, model_from_json,
+                                model_to_json)
 
-from farima_filter_oracle import (MODELS, ar_inf_inline,
+from farima_filter_oracle import (MODELS, WIDE, ar_inf_inline,
                                   farima_autocov_inline, ma_inf_inline)
 from quadrature_oracle import integrate_symmetric_singular
 
@@ -246,8 +248,12 @@ def test_farima_sequences_equal_inline_lfilter_bit_for_bit(model):
                           ar_inf_inline(model, n))
     assert np.array_equal(lp.ma_inf_coeffs(model, n).values,
                           ma_inf_inline(model, n))
+    # every model here has psi >= 0 and a short kernel, so exact_autocov
+    # takes the float64 route; truncation_excess takes the wide one
     assert np.array_equal(lp.exact_autocov(model, n).values,
-                          farima_autocov_inline(model, n).astype(float))
+                          farima_autocov_inline(model, n, np.float64))
+    assert np.array_equal(_farima_autocov(model, n, WIDE)[0],
+                          farima_autocov_inline(model, n, WIDE))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -275,6 +281,96 @@ def test_arma_filter_equals_lfilter_bit_for_bit(ar, ma, dtype):
                 assert got.dtype == ref.dtype == dtype
                 assert np.array_equal(got, ref)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+# the two FARIMA routes: float64 where psi >= 0 and 2H + 1 <= 9001, else
+# the widest float; FARIMA(0.3; ar 0.5) and FARIMA(0.2; ar 0.5; ma 0.3) are
+# the benchmark's models
+BENCH_MODELS = [lp.LongMemoryModel.farima(0.3, ar=(0.5,)),
+                lp.LongMemoryModel.farima(0.2, ar=(0.5,), ma=(0.3,))]
+MA_NEAR_CANCEL = lp.LongMemoryModel.farima(0.05, ma=(-0.9,))
+
+
+@pytest.mark.parametrize("model", MODELS + BENCH_MODELS + [MA_NEAR_CANCEL])
+def test_farima_autocov_prefix_is_the_shorter_sequence(model):
+    # the route depends on the model alone, so the circulant sampler's
+    # longer embedding extends the sequence it was asked for bit for bit
+    assert np.array_equal(lp.exact_autocov(model, 8000).values[:1001],
+                          lp.exact_autocov(model, 1000).values)
+
+
+@pytest.mark.parametrize("model", MODELS + BENCH_MODELS)
+def test_float_route_lies_within_its_bound_of_the_wide_route(model):
+    m = 8000
+    got = lp.exact_autocov(model, m).values
+    values, rel = _farima_autocov(model, m, np.float64)
+    assert np.array_equal(got, values)
+    wide, wide_rel = _farima_autocov(model, m, WIDE)
+    assert np.all(np.abs(got - wide) <= (rel + wide_rel) * np.abs(wide))
+
+
+@pytest.mark.parametrize("model, m", [
+    (MA_NEAR_CANCEL, 1023),
+    (lp.LongMemoryModel.farima(0.1, ar=(-0.9,)), 1023),
+    # psi >= 0, but its kernel 2H + 1 = 15 083 is past the float route's
+    (lp.LongMemoryModel.farima(0.1, ar=(0.9945,)), 100),
+])
+def test_wide_route_models_keep_their_values(model, m):
+    assert np.array_equal(lp.exact_autocov(model, m).values,
+                          farima_autocov_inline(model, m, WIDE).astype(float))
+
+
+def test_cancelling_ma_root_lies_within_its_bound_against_mpmath():
+    # FARIMA(0.05; ma -0.99): sigma(h) is (1 + theta^2) rho(h) + theta
+    # (rho(h - 1) + rho(h + 1)) scaled, which changes sign near lag 130;
+    # the wide route's bound, 6.8e-11 at its worst, covers every lag
+    d, theta, m = 0.05, -0.99, 8000
+    model = lp.LongMemoryModel.farima(d, ma=(theta,))
+    got = lp.exact_autocov(model, m).values
+    _, rel = _farima_autocov(model, m, WIDE)
+    with mpmath.workdps(40):
+        d, theta = mpmath.mpf(d), mpmath.mpf(theta)
+        rho = [mpmath.mpf(1)]
+        for j in range(m + 1):
+            rho.append(rho[-1] * (j + d) / (j + 1 - d))
+        scale = mpmath.gamma(1 - 2 * d) / mpmath.gamma(1 - d) ** 2
+        err = [abs(g / (scale * ((1 + theta * theta) * rho[h]
+                                 + theta * (rho[abs(h - 1)] + rho[h + 1])))
+                   - 1) for h, g in enumerate(got)]
+    assert np.all(np.array(err, dtype=float) <= rel + _EPS)
+
+
+def exact_mpf(x):
+    """x as an mpmath number, exactly, for a float or long double x: the
+    float nearest x plus the float nearest the rest."""
+    hi = float(x)
+    return mpmath.mpf(hi) + mpmath.mpf(float(x - hi))
+
+
+@pytest.mark.parametrize("d", [0.1, 0.2499, 0.3])
+def test_fi_ratio_recursions_lie_within_their_worst_case_charge(d):
+    # j + d drops the same low bits of d at every j in a binade, so the
+    # errors do not average out: float _fi_acf at lag 8000 is 4.0e-13 off
+    # for d = 0.3, where the probabilistic bound of 32 000 roundings is
+    # 1.6e-13; the worst case gamma_n holds
+    lags = (1000, 8000, 25600)
+    ref = {}
+    with mpmath.workdps(40):
+        dm, rho, a = mpmath.mpf(d), mpmath.mpf(1), mpmath.mpf(1)
+        for j in range(lags[-1]):
+            rho *= (j + dm) / (j + 1 - dm)
+            a *= (j - dm) / (j + 1)
+            if j + 1 in lags:
+                ref[j + 1] = (rho, a)
+        for dtype in (np.float64, WIDE):
+            eps = float(np.finfo(dtype).eps)
+            r = _fi_acf(dtype(d), lags[-1])
+            c = _fi_ar_values(dtype(d), lags[-1])
+            for h in lags:
+                rho_err = abs(exact_mpf(r[h]) / ref[h][0] - 1)
+                a_err = abs(exact_mpf(c[h]) / ref[h][1] - 1)
+                assert rho_err <= _worst_roundoff(4 * h, eps)
+                assert a_err <= _worst_roundoff(3 * h, eps)
 
 
 def hurwitz_zeta_mpmath(s, q):

@@ -11,7 +11,8 @@ from longpred.errors import NotPositiveDefiniteError
 from longpred.fraccoeff import _WIDE, AutocovSeq, _fi_ar_values
 from longpred.rng import derive_rng
 from longpred.series import SamplePath
-from longpred.toeplitz import (_lag_products, _toeplitz_matvec,
+from longpred.toeplitz import (_lag_products, _levinson_steps,
+                               _toeplitz_matvec,
                                innovation_variance_quadratic_form,
                                yule_walker_residual)
 
@@ -79,6 +80,36 @@ def test_not_positive_definite_names_failing_order():
     with pytest.raises(NotPositiveDefiniteError) as exc:
         lp.durbin_levinson(acov, 2)
     assert exc.value.order == 2
+
+
+@pytest.mark.parametrize("sig, order", [
+    # refl = 1 at order 1
+    ([1.0, 1.0, 1.0], 1),
+    # refl = 1/2 and 1/3, then -37/20 at order 3
+    ([1.0, 0.5, 0.5, -0.9], 3),
+    # v(1) underflows to 36 times the least subnormal, 1.8e-322, and
+    # refl(3) is about -5e11
+    ([1e-310, 1e-310 * (1 - 2 ** -40), 1e-310 * (1 - 2 ** -39), 0.0], 3),
+    # v(1) underflows to 2.2e-316, and refl(2) overflows to +inf
+    ([1e-300, 1e-300 * (1 - 2 ** -52), 1.0], 2),
+])
+def test_levinson_failures_name_the_same_order(sig, order):
+    # the Yule-Walker solve and the innovations sampler share one step,
+    # which raises where the numpy-scalar recursion raised
+    acov = AutocovSeq(values=np.array(sig), source="empirical")
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        lp.durbin_levinson(acov, len(sig) - 1)
+    assert exc.value.order == order
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        lp.gaussian_paths(acov, len(sig), 2, 1, method="innovations")
+    assert exc.value.order == order
+
+
+def test_levinson_step_rejects_a_nan_reflection():
+    # AutocovSeq refuses non-finite values, so the step is driven directly
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        list(_levinson_steps(np.array([1.0, np.nan, 0.1]), 2))
+    assert exc.value.order == 1
 
 
 def test_needs_enough_lags():
