@@ -51,7 +51,11 @@ _FLOAT_KERNEL = 9001
 # measured against an mpmath Euler-Maclaurin sum, at most (m + 2) eps at
 # 6000 q in [1.5, 1e6]
 _FI_SERIES_TERMS = 20
-_ZETA_RTOL = _EPS * (2.0 * np.arange(1, _FI_SERIES_TERMS + 1) + 4.0)
+_M = np.arange(1, _FI_SERIES_TERMS + 1)  # the term indices m
+_TWO_M = 2.0 * _M  # the zeta orders
+_ZETA_RTOL = _EPS * (_TWO_M + 4.0)
+# the roundings of each term's own arithmetic and of q
+_TERM_RTOL = _EPS * (1.5 * _M + 5.0)
 
 
 def _roundoff(n, eps=_EPS):
@@ -201,8 +205,8 @@ def _fi_ar_values(d, n):
 
 def _arma_polys(model):
     """phi(z) and theta(z) as ascending coefficient arrays."""
-    return (np.r_[1.0, -np.asarray(model.ar_poly)],
-            np.r_[1.0, np.asarray(model.ma_poly)])
+    return (np.array((1.0,) + tuple(-c for c in model.ar_poly)),
+            np.array((1.0,) + model.ma_poly))
 
 
 def _arma_filter(b, a, x):
@@ -303,10 +307,9 @@ def _fi_log_ratio(d, k):
     one tiny for terms that underflow.
     """
     q = k + 1.0 - d if k else 2.0 - d
-    m = np.arange(1, _FI_SERIES_TERMS + 1)
-    terms = (d * d) ** m / m * zeta(2.0 * m, q)
-    log_r = math.fsum(terms)
-    err = (float(np.dot(terms, _ZETA_RTOL + _EPS * (1.5 * m + 5.0)))
+    terms = (d * d) ** _M / _M * zeta(_TWO_M, q)
+    log_r = math.fsum(terms.tolist())
+    err = (float(np.dot(terms, _ZETA_RTOL + _TERM_RTOL))
            + terms[-1] / 8.0 + _TINY + 0.5 * _EPS * log_r)
     if not k:
         x = d * d / (1.0 - 2.0 * d)
@@ -345,7 +348,7 @@ def _arma_impulse(model, dtype):
     return _arma_filter(theta.astype(dtype), phi.astype(dtype), impulse), H
 
 
-def _farima_autocov(model, m, dtype):
+def _farima_autocov(model, m, dtype, impulse=None):
     """sigma(0..m) of a FARIMA model in the precision of dtype and a
     relative error bound per lag, by ARMA x FI splitting (Bertelli and
     Caporin 2002, J. Time Ser. Anal.): sigma(h) = sigma2 (1 + delta)
@@ -362,21 +365,23 @@ def _farima_autocov(model, m, dtype):
     that magnitude.  The bound adds the three roundings of the scaling, the
     error of delta and the mass of psi beyond H.  rho_FI > 0, so where psi
     has no negative entry every term is non-negative and the magnitudes
-    sum to the value itself."""
+    sum to the value itself.  ``impulse``, if given, is
+    ``_arma_impulse(model, dtype)``'s (psi, H)."""
     p, q = len(model.ar_poly), len(model.ma_poly)
     eps = float(np.finfo(dtype).eps)
-    psi, H = _arma_impulse(model, dtype)
+    psi, H = _arma_impulse(model, dtype) if impulse is None else impulse
     psi_abs = np.abs(psi).astype(float)
     g = np.correlate(psi, psi, "full")[2 * H : 3 * H + 1]  # lags 0..H
     delta, delta_err = _fi_delta(model.d)
     r = _fi_acf(dtype(model.d), m + H)
-    r_ext = np.r_[r[H:0:-1], r]  # lags -H..m+H
-    corr = np.convolve(r_ext, np.r_[g[:0:-1], g], "valid")
+    r_ext = np.concatenate((r[H:0:-1], r))  # lags -H..m+H
+    corr = np.convolve(r_ext, np.concatenate((g[:0:-1], g)), "valid")
     values = model.sigma2_eps * (1 + dtype(delta)) * corr
     corr_abs = np.maximum(np.abs(corr).astype(float), _TINY)
     if np.any(psi < 0):
         g_abs = np.correlate(psi_abs, psi_abs, "full")[2 * H : 3 * H + 1]
-        mag = np.convolve(r_ext.astype(float), np.r_[g_abs[:0:-1], g_abs],
+        mag = np.convolve(r_ext.astype(float),
+                          np.concatenate((g_abs[:0:-1], g_abs)),
                           "valid") / corr_abs
     else:
         mag = 1.0
@@ -412,10 +417,12 @@ def exact_autocov(model, m):
         values = (model.sigma2_eps * math.exp(_fi_log_ratio(model.d, 0)[0])
                   * _fi_acf(model.d, m))
     else:
-        psi, _ = _arma_impulse(model, np.float64)
-        in_float = psi.size <= _FLOAT_KERNEL and not np.any(psi < 0)
-        values, rel = _farima_autocov(model, m,
-                                      np.float64 if in_float else _WIDE)
+        impulse = _arma_impulse(model, np.float64)
+        psi = impulse[0]
+        if psi.size <= _FLOAT_KERNEL and not np.any(psi < 0):
+            values, rel = _farima_autocov(model, m, np.float64, impulse)
+        else:
+            values, rel = _farima_autocov(model, m, _WIDE)
         achieved = float(np.max(rel)) + _EPS
         if achieved > _AUTOCOV_RTOL:
             raise AccuracyError(
@@ -440,9 +447,9 @@ def spectral_density(model, lam):
     ) ** (-2.0 * model.d)
     if not model.is_pure_fractional:
         z = np.exp(-1j * lam_arr)
-        theta = npoly.polyval(z, np.r_[1.0, np.asarray(model.ma_poly)])
-        phi = npoly.polyval(z, np.r_[1.0, -np.asarray(model.ar_poly)])
-        f = f * (np.abs(theta) ** 2 / np.abs(phi) ** 2)
+        phi, theta = _arma_polys(model)
+        f = f * (np.abs(npoly.polyval(z, theta)) ** 2
+                 / np.abs(npoly.polyval(z, phi)) ** 2)
     if np.isscalar(lam) or np.ndim(lam) == 0:
         return float(f)
     return f

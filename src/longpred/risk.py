@@ -117,7 +117,8 @@ def truncation_excess(model, k):
     a_abs, r_abs = np.abs(a).astype(float), np.abs(rho).astype(float)
     tail_abs, abs_err = _lag_products(a_abs, a_abs, k, math.inf)
     tail_abs = tail_abs + abs_err
-    tail_w = np.r_[tail_abs[1:], 0.0]
+    tail_w = np.zeros_like(tail_abs)
+    tail_w[:-1] = tail_abs[1:]
     long_sum = _roundoff((2 * steps + 8) * k + 3, _WIDE_EPS)
     w_err = ((_worst_roundoff(3 * h, _WIDE_EPS)
               + _roundoff(steps * h + k + 3, _WIDE_EPS)) * a_abs
@@ -134,7 +135,7 @@ def truncation_excess(model, k):
         tail, tail_err = _lag_products(a, a, k, atol)
         w = a.copy()
         w[:-1] += tail[1:]
-        b = np.sum(np.r_[tail[0], 2 * w * rho])
+        b = np.sum(np.concatenate((tail[:1], 2 * w * rho)))
         value = float(b + delta * (1 + b))
         b = float(b)
         err = ((b_err + fft_weight * tail_err) * (1.0 + abs(delta_f))
@@ -165,6 +166,12 @@ def ark_excess(model, k):
     is raised before the cross-check, a lag sum of the coefficients.
     FARIMA models run Durbin-Levinson on the exact autocovariances.
     """
+    return _ark(model, k)[0]
+
+
+def _ark(model, k):
+    """``ark_excess``'s value with the autocovariances sigma(0..k) and the
+    order-k predictor it was checked against."""
     if k < 1:
         raise ValueError("order k must be >= 1")
     acov = exact_autocov(model, k)
@@ -190,7 +197,7 @@ def ark_excess(model, k):
         raise InternalConsistencyError(
             f"v(k) {model_k.v!r} disagrees with quadratic form {quad_v!r}"
         )
-    return value
+    return value, acov, model_k
 
 
 def c_of_d(d):
@@ -211,17 +218,25 @@ def c_of_d(d):
     return d * d * math.exp(_fi_log_ratio(d, 0)[0] + _fi_log_ratio(-d, 0)[0])
 
 
-def _decomposition(d, k, sigma2_eps):
-    """The terms of ``excess_decomposition`` and the FFT bound on term1,
-    at most a share _FFT_SHARE of ``r_of_k``'s margin _R_CHECK_RTOL |term1|:
-    past it the direct sum reruns and the bound is 0."""
-    model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
-    a = ar_inf_coeffs(model, k).values
-    sig = exact_autocov(model, k).values
-    delta = -fi_ark_closed_form(d, k).phi - a[1:]
+def _term1(sig, delta):
+    """term1 = delta' Sigma_k delta of the decomposition and the FFT bound
+    on it, at most a share _FFT_SHARE of ``r_of_k``'s margin
+    _R_CHECK_RTOL |term1|: past it the direct sum reruns and the bound
+    is 0."""
     term1, term1_err = _toeplitz_quadratic_form(sig, delta, math.inf)
     if term1_err > _FFT_SHARE * _R_CHECK_RTOL * abs(term1):
         term1, term1_err = _toeplitz_quadratic_form(sig, delta, 0.0)
+    return term1, term1_err
+
+
+def _decomposition(d, k, sigma2_eps):
+    """The terms of ``excess_decomposition`` and the FFT bound on term1
+    (see ``_term1``)."""
+    model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
+    a = ar_inf_coeffs(model, k).values
+    sig = exact_autocov(model, k).values
+    delta = -fi_ark_closed_form(d, k, sigma2_eps).phi - a[1:]
+    term1, term1_err = _term1(sig, delta)
     prod, _ = _toeplitz_matvec(sig, a)
     term2 = 2.0 * float(np.dot(delta, prod[1:]))
     term3 = truncation_excess(model, k)
@@ -250,11 +265,15 @@ def r_of_k(d, k):
     certified truncation excess trunc = term3, so their 1e-6 relative
     agreement checks the projection identity term1 = trunc - ark, its
     margin widened by the FFT bound on term1, at most a thousandth of it.
+    term1 is summed over the autocovariances and the closed-form predictor
+    that ``ark_excess`` checked, and term2 is not formed.
     """
-    dec, term1_err = _decomposition(d, k, 1.0)
-    trunc = dec["term3"]
-    r_closed = dec["term1"] / trunc
-    ark = ark_excess(LongMemoryModel.fi(d), k)
+    model = LongMemoryModel.fi(d)
+    trunc = truncation_excess(model, k)
+    ark, acov, model_k = _ark(model, k)
+    delta = -model_k.phi - ar_inf_coeffs(model, k).values[1:]
+    term1, term1_err = _term1(acov.values, delta)
+    r_closed = term1 / trunc
     r_direct = (trunc - ark) / trunc
     if (abs(r_closed - r_direct)
             > _R_CHECK_RTOL * max(abs(r_direct), 1e-12)
@@ -296,8 +315,9 @@ def compute_H(model, model_k):
         2.0 * model.d, ar=-np.convolve(phi, phi)[1:],
         ma=np.convolve(theta, theta)[1:], sigma2_eps=model.sigma2_eps)
     g = exact_autocov(squared, 2 * k).values
-    g = model.sigma2_eps / (2.0 * np.pi) * np.r_[g[:0:-1], g]  # lags -2k..2k
-    c = np.r_[1.0, -model_k.phi]
+    # lags -2k..2k
+    g = model.sigma2_eps / (2.0 * np.pi) * np.concatenate((g[:0:-1], g))
+    c = np.concatenate(([1.0], -model_k.phi))
     toeplitz = np.convolve(g, np.correlate(c, c, "full"), "valid")  # -k..k
     hankel = np.convolve(g, np.convolve(c, c), "valid")  # 0..2k
     i = np.arange(1, k + 1)

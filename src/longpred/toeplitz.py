@@ -256,7 +256,8 @@ def _toeplitz_matvec(sig, x):
     lag products of x reversed with the mirrored lags sigma(n-1..1, 0,
     1..n-1), and the bound of ``_lag_products`` on their error."""
     n = x.size
-    return _lag_products(x[::-1], np.r_[sig[n - 1 : 0 : -1], sig[:n]], n,
+    return _lag_products(x[::-1],
+                         np.concatenate((sig[n - 1 : 0 : -1], sig[:n])), n,
                          math.inf)
 
 

@@ -299,6 +299,20 @@ def test_farima_autocov_prefix_is_the_shorter_sequence(model):
                           lp.exact_autocov(model, 1000).values)
 
 
+def test_float_route_builds_the_arma_impulse_once(monkeypatch):
+    # the impulse that chose the float route is the one convolved
+    calls = []
+    impulse = lp.fraccoeff._arma_impulse
+
+    def counted(model, dtype):
+        calls.append(dtype)
+        return impulse(model, dtype)
+
+    monkeypatch.setattr("longpred.fraccoeff._arma_impulse", counted)
+    lp.exact_autocov(lp.LongMemoryModel.farima(0.3, ar=(0.5,)), 1000)
+    assert calls == [np.float64]
+
+
 @pytest.mark.parametrize("model", MODELS + BENCH_MODELS)
 def test_float_route_lies_within_its_bound_of_the_wide_route(model):
     m = 8000

@@ -505,6 +505,39 @@ def test_ratio_routes_agree_on_grid():
             np.testing.assert_allclose(lp.r_of_k(d, k), r_closed, rtol=1e-9)
 
 
+def test_ratio_computes_each_certified_quantity_once(monkeypatch):
+    # r_of_k takes term1 from the autocovariances and closed-form predictor
+    # that ark_excess checked, and forms no term2
+    calls = {}
+
+    def spy(name):
+        kernel = getattr(risk, name)
+        calls[name] = 0
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(f"longpred.risk.{name}", counted)
+
+    for name in ("exact_autocov", "fi_ark_closed_form", "truncation_excess",
+                 "innovation_variance_quadratic_form", "_toeplitz_matvec"):
+        spy(name)
+    lp.r_of_k(0.3, 20)
+    assert calls == {"exact_autocov": 1, "fi_ark_closed_form": 1,
+                     "truncation_excess": 1,
+                     "innovation_variance_quadratic_form": 1,
+                     "_toeplitz_matvec": 0}
+
+
+@pytest.mark.parametrize("d, k", [(0.1, 10), (0.35, 30), (0.45, 50),
+                                  (0.3, 1600)])
+def test_ratio_is_the_decomposition_ratio_bit_for_bit(d, k):
+    # at k = 1600 term1 runs through the FFT
+    dec = excess_decomposition(d, k)
+    assert lp.r_of_k(d, k) == dec["term1"] / dec["term3"]
+
+
 def ratio_mpmath(d, k):
     """(trunc - ark)/trunc of FI(d) at 40 digits: the truncation excess as
     the double sum sum_{j,l<=k} a_j a_l sigma(j-l) - 1 with a and sigma from
