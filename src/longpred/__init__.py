@@ -26,7 +26,7 @@ from .simulate import gaussian_paths
 from .spectral import (Periodogram, WhittleFit, periodogram,
                        periodogram_ordinate, whittle_fit)
 from .toeplitz import (ArkModel, durbin_levinson, empirical_autocov,
-                       fi_ark_closed_form, toeplitz_solve)
+                       fi_ark_closed_form)
 
 __all__ = [
     "AccuracyError", "ArkModel", "AutocovSeq", "CoeffSeq", "DomainError",
@@ -41,7 +41,7 @@ __all__ = [
     "fi_ark_closed_form", "gaussian_paths",
     "h_covariance_check", "ma_inf_coeffs",
     "model_from_json", "model_to_json", "periodogram",
-    "periodogram_ordinate", "r_of_k", "spectral_density", "toeplitz_solve",
+    "periodogram_ordinate", "r_of_k", "spectral_density",
     "truncation_excess", "whittle_fit", "wk_plugin_predict",
     "wk_plugin_scaling", "wk_truncated_predict",
 ]

@@ -12,8 +12,8 @@ Conventions
   noise a_j < 0 and b_j > 0 for every j >= 1.
 * a_j, b_j and rho(h) come from ratio recursions, so indices up to 10^6
   never overflow.  Every gamma ratio, the FI sigma(0) among them, comes
-  from the all-positive series of ``_fi_log_ratio``; Gamma and log-gamma
-  calls are reserved for test oracles.
+  from the all-positive series of ``_fi_log_ratio`` (C(d) reduces to a
+  tangent); Gamma and log-gamma calls are reserved for test oracles.
 """
 
 import json
@@ -175,13 +175,6 @@ class AutocovSeq:
     def __len__(self):
         return self.values.size
 
-    def toeplitz(self, k):
-        """Dense k x k covariance matrix with entries sigma(|i-j|)."""
-        if k < 1 or k > self.values.size:
-            raise ValueError(f"need lags 0..{k - 1}, have 0..{self.values.size - 1}")
-        idx = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
-        return self.values[idx]
-
 
 def _clamp_subnormal(values):
     mask = (values != 0.0) & (np.abs(values) < _TINY)
@@ -299,12 +292,10 @@ def _fi_log_ratio(d, k):
     v(k)/sigma2 = prod_{t>k} (1 - d^2/(t - d)^2)^-1, whose log is the
     all-positive series sum_{m>=1} (d^2m/m) zeta(2m, k+1-d) (Hurwitz zeta),
     falling at least 9-fold per term for k >= 1.  At k = 0 the t = 1 factor
-    is taken exactly as 1 + d^2/(1-2d).  The same series serves -d at
-    k = 0, log(Gamma(1+2d)/Gamma(1+d)^2), at q = 2 + d with head
-    log1p(d^2/(1+2d)).  The bound adds the remainder (at most 1/8 of the
-    last term), each term's roundings, including that of q through zeta's
-    slope 2m, and SciPy's zeta error for its order, the rounded sum, and
-    one tiny for terms that underflow.
+    is taken exactly as 1 + d^2/(1-2d).  The bound adds the remainder (at
+    most 1/8 of the last term), each term's roundings, including that of q
+    through zeta's slope 2m, and SciPy's zeta error for its order, the
+    rounded sum, and one tiny for terms that underflow.
     """
     q = k + 1.0 - d if k else 2.0 - d
     terms = (d * d) ** _M / _M * zeta(_TWO_M, q)

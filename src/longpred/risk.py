@@ -33,10 +33,10 @@ from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
-from .toeplitz import (_lag_products, _toeplitz_matvec,
+from .toeplitz import (_lag_products, _toeplitz_inverse, _toeplitz_matvec,
                        _toeplitz_quadratic_form, durbin_levinson,
                        empirical_autocov, fi_ark_closed_form,
-                       innovation_variance_quadratic_form, toeplitz_solve)
+                       innovation_variance_quadratic_form)
 
 # relative accuracy certified by truncation_excess and, for FI, ark_excess
 _TRUNC_RTOL = _ARK_RTOL = 1e-9
@@ -210,12 +210,16 @@ def c_of_d(d):
     The constant behaves like d^2 as d -> 0, like
     1 / (pi^2 (1-2d)) as d -> 1/2, and equals 1/(4 pi) at d = 1/4.
 
-    It equals d^2 Gamma(1-2d)/Gamma(1-d)^2 * Gamma(1+2d)/Gamma(1+d)^2, the
-    exp of the k = 0 series of ``fraccoeff._fi_log_ratio`` at d and -d.
+    By Gamma(1-x) Gamma(1+x) = pi x / sin(pi x) it is d tan(pi d)/pi, taken
+    above d = 1/4 as d / (pi tan(pi (1/2 - d))) with 1/2 - d exact, so tan's
+    argument stays within pi/4.  If libm's tan is within 1 ulp, either form
+    is within 4 eps relative.
     """
     if not (0.0 < d < 0.5):
         raise DomainError(f"d={d} outside ]0, 1/2[")
-    return d * d * math.exp(_fi_log_ratio(d, 0)[0] + _fi_log_ratio(-d, 0)[0])
+    if d <= 0.25:
+        return d * math.tan(math.pi * d) / math.pi
+    return d / (math.pi * math.tan(math.pi * (0.5 - d)))
 
 
 def _term1(sig, delta):
@@ -327,12 +331,12 @@ def compute_H(model, model_k):
 
 
 def h_sandwich(model, model_k):
-    """Sigma_k^{-1} H Sigma_k^{-1} by two Toeplitz solves with k columns."""
+    """Sigma_k^{-1} H Sigma_k^{-1} (Brockwell and Davis 1991, Thm 7.2.1) as
+    G H G, G = Sigma_k^{-1} by the Gohberg-Semencul formula from the
+    order-(k-1) Durbin-Levinson predictor."""
     k = model_k.k
-    H = compute_H(model, model_k)
-    acov = exact_autocov(model, k)
-    half = toeplitz_solve(acov, H, k)
-    M = toeplitz_solve(acov, half.T, k)
+    G = _toeplitz_inverse(exact_autocov(model, k), k)
+    M = G @ compute_H(model, model_k) @ G
     return 0.5 * (M + M.T)
 
 
@@ -353,11 +357,11 @@ def h_covariance_check(d, k, T, reps, seed):
         for x in block])
     S = T * (diffs.T @ diffs) / reps
 
-    from scipy.linalg import eigh  # deferred, as in toeplitz_solve
-    ratios = {}
-    for c in (2.0, 4.0):
-        w = eigh(S, c * M, eigvals_only=True)
-        ratios[c] = float(max(w.max(), 1.0 / w.min()))
+    # the eigenvalues of the pencil (S, c M) are those of L^-1 S L^-T, with
+    # M = L L', scaled by 1/c: one decomposition serves both c
+    L = np.linalg.cholesky(M)
+    w = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, S).T))
+    ratios = {c: float(max(w.max() / c, c / w.min())) for c in (2.0, 4.0)}
     c_fit = float(np.sum(S * M) / np.sum(M * M))
     return {
         "scaled_cov": S,

@@ -7,7 +7,8 @@ Sign conventions: ``ArkModel.phi`` always holds positive-forecast weights
 (forecast = sum_j phi_j X_{n+1-j}).  The AR-infinity convention used by
 ``fraccoeff`` has a_0 = 1 and a_j < 0 for fractional noise; the closed-form
 order-k coefficients are converted at this module's boundary via
-phi_j = -a_{j,k}.
+phi_j = -a_{j,k}.  Sigma_k^{-1} comes from the same Durbin-Levinson
+recursion, by the Gohberg-Semencul formula.
 """
 
 import math
@@ -137,37 +138,32 @@ def fi_ark_closed_form(d, k, sigma2_eps=1.0):
                     partials=d / (i + 1.0 - d))
 
 
-def toeplitz_solve(acov, rhs, k, rtol=1e-8):
-    """Solve Sigma_k x = rhs for the k x k Toeplitz covariance matrix;
-    ``rhs`` may be a (k,) vector or a (k, m) matrix of m right-hand sides.
-
-    Dense Cholesky at desk scale with one step of iterative refinement;
-    the residual must satisfy max|Sigma x - rhs| <= rtol max|rhs|, both
-    maxima over all entries.
+def _toeplitz_inverse(acov, k):
+    """Sigma_k^{-1} for the Toeplitz matrix of sigma(0..k-1) by the
+    Gohberg-Semencul formula (Gohberg and Semencul 1972): with
+    a = (1, -phi_1..-phi_{k-1}) and v = v(k-1) of the order-(k-1)
+    Durbin-Levinson predictor, Sigma_k^{-1} = (A A' - B B') / v, A and B the
+    lower-triangular Toeplitz matrices with first columns a and
+    (0, a_{k-1}..a_1).  The recursion raises NotPositiveDefiniteError; a
+    residual max|G Sigma_k - I| above 1e-8 raises AccuracyError.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != k:
-        raise ValueError("rhs length must equal k")
-    # deferred, so that import longpred loads numpy and scipy.special only
-    from scipy.linalg import cho_factor, cho_solve
-    mat = acov.toeplitz(k)
-    try:
-        factor = cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(k, f"order-{k} Toeplitz matrix is not "
-                                          f"positive definite") from exc
-    x = cho_solve(factor, rhs)
-    scale = np.max(np.abs(rhs)) if np.max(np.abs(rhs)) > 0 else 1.0
-    resid = mat @ x - rhs
-    if np.max(np.abs(resid)) > rtol * scale:
-        x = x - cho_solve(factor, resid)
-        resid = mat @ x - rhs
-        if np.max(np.abs(resid)) > rtol * scale:
-            raise AccuracyError(
-                "Toeplitz solve residual exceeds tolerance",
-                achieved=float(np.max(np.abs(resid)) / scale),
-            )
-    return x
+    sig = acov.values
+    if not 1 <= k <= sig.size:
+        raise ValueError(f"need lags 0..{k - 1}, have 0..{sig.size - 1}")
+    phi, v = np.zeros(0), float(sig[0])
+    for _, phi, v in _levinson_steps(sig, k - 1):
+        pass
+    # first columns behind k - 1 zeros, indexed by lag i - j + k - 1
+    a = np.concatenate((np.zeros(k - 1), [1.0], -phi))
+    b = np.concatenate((np.zeros(k), a[: k - 1 : -1]))
+    lag = np.subtract.outer(np.arange(k), np.arange(k))
+    A, B = a[lag + k - 1], b[lag + k - 1]
+    G = (A @ A.T - B @ B.T) / v
+    resid = float(np.max(np.abs(G @ sig[np.abs(lag)] - np.eye(k))))
+    if resid > 1e-8:
+        raise AccuracyError("Toeplitz inverse residual exceeds tolerance",
+                            achieved=resid)
+    return G
 
 
 def _fft_lag_error(x, y, size, eps):

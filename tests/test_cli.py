@@ -766,14 +766,19 @@ model = lp.LongMemoryModel.farima(0.3, ar=(0.5,), ma=(0.3,))
 assert lp.exact_autocov(model, 20).values[0] > 0
 assert lp.truncation_excess(model, 20) > 0
 assert lp.ark_excess(model, 20) > 0
+fi = lp.LongMemoryModel.fi(0.1)
+assert lp.h_covariance_check(0.1, 2, 256, 50, seed=1)["c_fit"] > 0
+from longpred.risk import h_sandwich
+h_sandwich(fi, lp.durbin_levinson(lp.exact_autocov(fi, 3), 3))
 print(json.dumps([m in sys.modules for m in ("scipy.signal", "scipy.linalg")]))
 """
 
 
 def test_fi_and_farima_work_leave_scipy_signal_and_linalg_unloaded(tmp_path):
-    # the ARMA filter of FARIMA models runs in-house, and scipy.linalg
-    # serves only toeplitz_solve and h_covariance_check; scipy.signal
-    # would pull in scipy.stats, scipy.interpolate and scipy.optimize
+    # the ARMA filter of FARIMA models runs in-house, and the Toeplitz
+    # inverse and generalised eigenvalues of h_sandwich and
+    # h_covariance_check come from numpy alone; scipy.signal would pull in
+    # scipy.stats, scipy.interpolate and scipy.optimize
     out = run_fresh(IMPORT_GUARD, tmp_path / "trunc.csv")
     assert json.loads(out) == [False, False]
 

@@ -20,6 +20,7 @@ from longpred.fraccoeff import _fi_delta, _fi_log_ratio
 from longpred.risk import excess_decomposition, h_sandwich
 from longpred.tails import powerlaw_tail_sum
 
+from dense_toeplitz import toeplitz_matrix
 from farima_filter_oracle import MODELS, truncation_excess_inline
 from quadrature_oracle import compute_H_quadrature
 
@@ -409,6 +410,21 @@ def test_k_times_ark_excess_converges_to_d_squared():
         assert np.all(np.diff(errs) < 0)
 
 
+@pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+def test_k_times_ark_excess_second_order_term(d):
+    # with q = k + 1 - d, zeta(2, q) = 1/q + 1/(2 q^2) + O(q^-3) and
+    # expm1(x) = x + x^2/2 + ..., v(k)/sigma2 - 1 = d^2/q + (d^2 + d^4)/(2 q^2)
+    # + O(q^-3), so k * ark/(sigma2 d^2) = 1 + (d - 1/2 + d^2/2)/k + O(k^-2);
+    # the k^-2 coefficient is about 0.074, -0.045 and -0.050 here
+    model = lp.LongMemoryModel.fi(d, sigma2_eps=2.0)
+    first = d - 0.5 + d * d / 2.0
+    rest = np.array([k * k * (k * lp.ark_excess(model, k) / (2.0 * d * d)
+                              - 1.0 - first / k)
+                     for k in (100, 400, 1600, 6400, 10000)])
+    assert np.all(np.abs(rest) < 0.1)
+    assert np.ptp(rest) <= 1e-3
+
+
 # ---------------------------------------------------------------------------
 # rate constant
 
@@ -418,9 +434,23 @@ def test_c_of_d_against_gamma_oracle():
     assert lp.c_of_d(0.25) == pytest.approx(0.079577, abs=1e-6)
 
 
+def test_c_of_d_elementary_form_matches_mpmath():
+    # d tan(pi d)/pi against the 40-digit gamma product, on both sides of
+    # the switch to the cotangent form at d = 1/4; the bound is 4 eps if
+    # libm's tan is within 1 ulp
+    grid = [1e-4, 1e-3, 0.05, 0.1, 0.2, math.nextafter(0.25, 0.0), 0.25,
+            math.nextafter(0.25, 1.0), 0.3, 0.4, 0.45, 0.49, 0.499, 0.4999]
+    for d in grid:
+        with mpmath.workdps(40):
+            x = mpmath.mpf(d)
+            c = (x * x * mpmath.gamma(1 - 2 * x) * mpmath.gamma(1 + 2 * x)
+                 / (mpmath.gamma(1 - x) * mpmath.gamma(1 + x)) ** 2)
+        assert abs(lp.c_of_d(d) / float(c) - 1.0) <= 4.0 * np.finfo(float).eps
+
+
 def test_c_of_d_and_fi_sigma0_match_mpmath():
-    # both come from the k = 0 gamma-ratio series, C(d) at d and at -d;
-    # the -d series also keeps its error bound
+    # sigma(0) comes from the k = 0 gamma-ratio series, whose error bound
+    # holds at -d as well; C(d) from its elementary form
     for d in np.r_[np.linspace(1e-4, 0.4999, 50), 0.25]:
         d = float(d)
         with mpmath.workdps(50):
@@ -742,7 +772,8 @@ def test_monte_carlo_scaling_holds_one_block_of_paths(scaling):
 def test_covmoment_exact_is_the_isserlis_sum(d, n):
     # Var((1/n) sum_t X_t^2) = (2/n^2) sum_{s,t} sigma(s - t)^2 for a
     # zero-mean Gaussian path, summed here over the whole n x n covariance
-    cov = lp.exact_autocov(lp.LongMemoryModel.fi(d), n - 1).toeplitz(n)
+    cov = toeplitz_matrix(lp.exact_autocov(lp.LongMemoryModel.fi(d), n - 1),
+                          n)
     direct = 2.0 * np.sum(cov ** 2) / n ** 2
     assert lp.covmoment_exact(d, n) == pytest.approx(direct, rel=1e-12)
 

@@ -10,6 +10,7 @@ from longpred.simulate import (EIG_TOL_FACTOR, _five_smooth,
                                circulant_eigenvalues, path_blocks)
 
 from circulant_oracle import circulant_paths_inline, five_smooth_brute
+from dense_toeplitz import toeplitz_matrix
 from levinson_oracle import innovations_paths_inline
 
 
@@ -112,7 +113,7 @@ def test_small_matrix_covariance_entrywise():
     paths = lp.gaussian_paths(acov, n, reps, seed=99, stream=(1,))
     x = np.stack([p.values for p in paths])
     emp = x.T @ x / reps
-    true = acov.toeplitz(n)
+    true = toeplitz_matrix(acov, n)
     se = np.sqrt((np.outer(np.diag(true), np.diag(true)) + true ** 2) / reps)
     assert np.max(np.abs(emp - true) / se) <= 4.0
 
@@ -151,7 +152,7 @@ def test_innovations_covariance_exact_small_n():
                               method="innovations")
     x = np.stack([p.values for p in paths])
     emp = x.T @ x / reps
-    true = acov.toeplitz(n)
+    true = toeplitz_matrix(acov, n)
     se = np.sqrt((np.outer(np.diag(true), np.diag(true)) + true ** 2) / reps)
     assert np.max(np.abs(emp - true) / se) <= 4.0
 

@@ -7,15 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import longpred as lp
-from longpred.errors import NotPositiveDefiniteError
+from longpred.errors import AccuracyError, NotPositiveDefiniteError
 from longpred.fraccoeff import _WIDE, AutocovSeq, _fi_ar_values
 from longpred.rng import derive_rng
 from longpred.series import SamplePath
 from longpred.toeplitz import (_lag_products, _levinson_steps,
-                               _toeplitz_matvec,
+                               _toeplitz_inverse, _toeplitz_matvec,
                                innovation_variance_quadratic_form,
                                yule_walker_residual)
 
+from dense_toeplitz import toeplitz_matrix
 from levinson_oracle import durbin_levinson_inline
 
 
@@ -265,7 +266,7 @@ def test_innovation_variance_quadratic_form_matches_dense(model, k):
     model_k = lp.durbin_levinson(acov, k)
     sig, phi = acov.values, model_k.phi
     dense = (sig[0] - 2.0 * np.dot(phi, sig[1 : k + 1])
-             + phi @ acov.toeplitz(k) @ phi)
+             + phi @ toeplitz_matrix(acov, k) @ phi)
     quad, _ = innovation_variance_quadratic_form(acov, model_k, np.inf)
     assert abs(quad - dense) <= 1e-13 * sig[0]
 
@@ -394,38 +395,46 @@ def test_closed_form_domain():
 
 
 # ---------------------------------------------------------------------------
-# toeplitz_solve
+# the Gohberg-Semencul inverse
 
 
 def test_solve_white_noise():
     acov = AutocovSeq(values=np.r_[2.0, np.zeros(6)], source="exact")
-    x = lp.toeplitz_solve(acov, np.ones(6), 6)
+    x = _toeplitz_inverse(acov, 6) @ np.ones(6)
     np.testing.assert_allclose(x, np.ones(6) / 2.0)
 
 
 def test_solve_reproduces_yule_walker():
     acov = lp.exact_autocov(lp.LongMemoryModel.fi(0.35), 20)
     sig = acov.values
-    x = lp.toeplitz_solve(acov, sig[1:21], 20)
+    x = _toeplitz_inverse(acov, 20) @ sig[1:21]
     model_k = lp.durbin_levinson(acov, 20)
     np.testing.assert_allclose(x, model_k.phi, atol=1e-9)
-
-
-@pytest.mark.parametrize("d,k", [(0.1, 2), (0.1, 3), (0.2, 8), (0.05, 16)])
-def test_solve_matrix_rhs_matches_column_solves(d, k):
-    model = lp.LongMemoryModel.fi(d)
-    acov = lp.exact_autocov(model, k)
-    rhs = lp.compute_H(model, lp.durbin_levinson(acov, k))
-    columns = np.column_stack([lp.toeplitz_solve(acov, rhs[:, j], k)
-                               for j in range(k)])
-    assert np.array_equal(lp.toeplitz_solve(acov, rhs, k), columns)
 
 
 def test_solve_rejects_indefinite():
     acov = AutocovSeq(values=np.array([1.0, 0.95, 0.2, 0.1]),
                       source="empirical")
     with pytest.raises(NotPositiveDefiniteError):
-        lp.toeplitz_solve(acov, np.ones(3), 3)
+        _toeplitz_inverse(acov, 3)
+
+
+def test_inverse_rejects_a_residual_past_tolerance():
+    # cos(0.3 h) is a rank-2 covariance; the 1e-11 nugget keeps Sigma_8
+    # positive definite, but its inverse is off by about 2e-5 of I
+    sig = np.cos(0.3 * np.arange(9.0))
+    sig[0] += 1e-11
+    with pytest.raises(AccuracyError):
+        _toeplitz_inverse(AutocovSeq(values=sig, source="exact"), 8)
+
+
+def test_inverse_times_covariance_is_identity():
+    for d in (0.1, 0.2, 0.24, 0.4):
+        acov = lp.exact_autocov(lp.LongMemoryModel.fi(d), 512)
+        for k in (1, 2, 8, 32, 512):
+            G = _toeplitz_inverse(acov, k)
+            assert np.max(np.abs(G @ toeplitz_matrix(acov, k)
+                                 - np.eye(k))) <= 1e-13
 
 
 def test_ones_quadratic_form_growth_exponent():
@@ -434,7 +443,7 @@ def test_ones_quadratic_form_growth_exponent():
     d = 0.4
     acov = lp.exact_autocov(lp.LongMemoryModel.fi(d), 1024)
     ks = [64, 128, 256, 512, 1024]
-    vals = [float(np.sum(lp.toeplitz_solve(acov, np.ones(k), k))) for k in ks]
+    vals = [float(np.sum(_toeplitz_inverse(acov, k))) for k in ks]
     slope = np.polyfit(np.log(ks), np.log(vals), 1)[0]
     assert slope == pytest.approx(1 - 2 * d, abs=0.05)
 
