@@ -23,9 +23,13 @@ reruns write the same bytes.
 import pathlib
 import sys
 
-from longpred.cli import main
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = ROOT / "out"
+# longpred is imported from the checkout's sources, so the script runs from
+# any directory without PYTHONPATH
+sys.path.insert(0, str(ROOT / "src"))
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
+from longpred.cli import main  # noqa: E402
 
 EXPERIMENTS = {
     "cd_curve.csv": ["cd-curve", "--d-min", "0.01", "--d-max", "0.49",

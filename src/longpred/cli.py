@@ -554,9 +554,10 @@ def main(argv=None):
         return globals()[args.fn](args, config)
     except SystemExit as exc:  # raised by argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2
-    # NotPositiveDefiniteError is a ValueError, so numeric failures go first
+    # NotPositiveDefiniteError is a ValueError, so numeric failures go
+    # first; an order or length too large to allocate is one too
     except (AccuracyError, EstimationError, InternalConsistencyError,
-            NotPositiveDefiniteError, FloatingPointError) as exc:
+            NotPositiveDefiniteError, FloatingPointError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except (UsageError, DomainError, StatisticalPowerError, ValueError) as exc:

@@ -11,11 +11,10 @@ Quantities for a model at order k:
   of the AR(k) excess, and Monte Carlo scaling checks for the
   estimated-coefficient error.
 
-Sign conventions inside the decomposition are fixed so that
-term1 + term2 + term3 equals the AR(k) excess and term3 equals the
-truncation excess; term1 >= 0 is the mean-squared distance between the two
-predictors, term2 <= 0.  (Equivalent displays in the literature flip the
-overall sign and describe the negated terms.)
+In the decomposition term1 + term2 + term3 is the AR(k) excess and term3
+the truncation excess; term1 >= 0 is the mean-squared distance between
+the two predictors and term2 = -2 term1.  (Equivalent displays in the
+literature flip the overall sign and describe the negated terms.)
 """
 
 import math
@@ -26,14 +25,13 @@ import numpy as np
 from .errors import (AccuracyError, DomainError, InternalConsistencyError,
                      StatisticalPowerError)
 from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
-                        _arma_filter, _arma_polys, _farima_autocov, _fi_acf,
-                        _fi_ar_values, _fi_delta, _fi_log_ratio, _roundoff,
-                        _worst_roundoff,
-                        ar_inf_coeffs, exact_autocov)
+                        _arma_filter, _arma_polys, _farima_autocov,
+                        _fi_ar_values, _fi_log_ratio, _roundoff,
+                        _worst_roundoff, ar_inf_coeffs, exact_autocov)
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
-from .toeplitz import (_lag_products, _toeplitz_inverse, _toeplitz_matvec,
+from .toeplitz import (_lag_products, _toeplitz_inverse,
                        _toeplitz_quadratic_form, durbin_levinson,
                        empirical_autocov, fi_ark_closed_form,
                        innovation_variance_quadratic_form)
@@ -42,8 +40,6 @@ from .toeplitz import (_lag_products, _toeplitz_inverse, _toeplitz_matvec,
 _TRUNC_RTOL = _ARK_RTOL = 1e-9
 # agreement of ark_excess's v(k) with its quadratic form, in sigma(0)
 _ARK_CHECK_RTOL = 1e-8
-# relative agreement of r_of_k's closed and direct ratios
-_R_CHECK_RTOL = 1e-6
 # the share of a cross-check's margin an FFT's bound may add to it; past
 # it the direct lag sum runs
 _FFT_SHARE = 1e-3
@@ -72,48 +68,46 @@ class SlopeReport:
 
 
 def truncation_excess(model, k):
-    """E[(X_{k+1} - truncated WK forecast)^2] - sigma_eps^2.
+    """E[(X_{k+1} - truncated WK forecast)^2] - sigma_eps^2, certified to
+    1e-9 relative or AccuracyError: ark + term1 of ``_fi_split`` for
+    fractional noise, ``_toeplitz_excess`` for FARIMA models."""
+    if model.is_pure_fractional:
+        ark, term1 = _fi_split(model, k)
+        return ark + term1
+    return _toeplitz_excess(model, k)
 
-    The residual variance of the length-(k+1) truncated AR filter a_0..a_k
-    is the finite quadratic form sum_{j,l<=k} a_j a_l sigma(j-l).  Written
+
+def _toeplitz_excess(model, k):
+    """The truncation excess of any model from the finite quadratic form
+    sum_{j,l<=k} a_j a_l sigma(j-l) of the truncated AR filter a_0..a_k:
     with w_h = sum_j a_j a_{j+h}, rho_h = sigma(h)/sigma(0) and
-    delta = sigma(0)/sigma2 - 1, its excess over sigma2 is
-    sigma2 (b + delta (1 + b)) with b = sum_{j>=1} a_j^2 + 2 sum_{h>=1}
-    w_h rho_h, so no terms of the size of sigma(0) cancel.  The terms of b
-    still exceed the result about k-fold, so they are summed in wide
-    precision.  A round-off bound that follows every input from its
-    recursion must stay below 1e-9 relative, or AccuracyError is raised.
-    The lag products come from ``toeplitz._lag_products``; if its FFT's
-    bound, charged in, is what breaks 1e-9, the direct sum runs instead.
+    delta = sigma(0)/sigma2 - 1 it is sigma2 (b + delta (1 + b)),
+    b = sum_{j>=1} a_j^2 + 2 sum_{h>=1} w_h rho_h, so no terms of the size
+    of sigma(0) cancel.  The terms of b still exceed the result about
+    k-fold, so they are summed in the platform's widest float, under a
+    round-off bound that follows every input from its recursion.  If the
+    FFT's bound of ``toeplitz._lag_products`` is what breaks 1e-9, the
+    direct sum runs; a larger total raises AccuracyError.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
     a = _fi_ar_values(_WIDE(model.d), k)
     h = np.arange(1, k + 1)
-    if model.is_pure_fractional:
-        rho = _fi_acf(_WIDE(model.d), k)[1:]
-        rho_err = _worst_roundoff(4 * h, _WIDE_EPS)
-        delta, delta_err = _fi_delta(model.d)
-        steps = 0  # roundings per step of the ARMA filter
-    else:
-        phi, theta = _arma_polys(model)
-        a = _arma_filter(phi.astype(_WIDE), theta.astype(_WIDE), a)
-        s, rel = _farima_autocov(model, k, _WIDE)
-        rho = s[1:] / s[0]
-        rho_err = rel[1:] + rel[0] + _WIDE_EPS
-        delta = s[0] / model.sigma2_eps - 1
-        delta_err = float(1 + delta) * (rel[0] + _WIDE_EPS)
-        steps = 2 * (phi.size + theta.size - 1)
+    phi, theta = _arma_polys(model)
+    a = _arma_filter(phi.astype(_WIDE), theta.astype(_WIDE), a)
+    s, rel = _farima_autocov(model, k, _WIDE)
+    rho = s[1:] / s[0]
+    rho_err = rel[1:] + rel[0] + _WIDE_EPS
+    delta = s[0] / model.sigma2_eps - 1
+    delta_err = float(1 + delta) * (rel[0] + _WIDE_EPS)
+    steps = 2 * (phi.size + theta.size - 1)  # roundings per filter step
     a = a[1:]
-    # round-off bound: a term of b carries the roundings on its own path,
-    # a_h from the recursion plus the final sum, a tail product both
-    # factors' recursions plus two sums of k terms; the float lag products
-    # of |a| plus their own bound bound those of |a| at every lag.  The FI
-    # recursions, 3 roundings a step for a_h and 4 for rho_h, are charged
-    # their worst case (see fraccoeff._roundoff), the filter and the sums
-    # the probabilistic bound, except in the tail products: long_sum
-    # charges their factors' 6 FI roundings a step probabilistically too,
-    # since the worst case would charge FI(0.1) 6.9e-9 at k = 102 400
+    # a term of b carries the roundings on its own path: a_h its FI
+    # recursion (3 a step, worst case, see fraccoeff._roundoff), filter and
+    # the final sum, a tail product both factors' plus two sums of k terms,
+    # all charged probabilistically (long_sum), since the worst case would
+    # refuse FI(0.1) at k = 102 400 (6.9e-9); the float lag products of |a|
+    # plus their own bound bound those of |a| at every lag
     a_abs, r_abs = np.abs(a).astype(float), np.abs(rho).astype(float)
     tail_abs, abs_err = _lag_products(a_abs, a_abs, k, math.inf)
     tail_abs = tail_abs + abs_err
@@ -154,6 +148,50 @@ def truncation_excess(model, k):
     return model.sigma2_eps * value
 
 
+def _fi_split(model, k, acov=None):
+    """ark = v(k) - sigma2 and term1 = delta' Sigma_k delta of FI, with
+    delta = a_k - a over 1..k and Sigma_k from sigma(0..k-1) of acov (by
+    default the exact ones).  ark + term1 is the truncation excess: the
+    AR(k) forecast error is orthogonal to X_1..X_k, and the two forecasts
+    differ by delta'X (Brockwell and Davis 1991, Sec. 5.1).
+
+    Both are sums of positive terms.  ark is sigma2 expm1 of the series of
+    ``fraccoeff._fi_log_ratio``.  Hosking's a_{j,k} = a_j p_j, with
+    p_j = prod_{i<j} (1 + x_i) and x_i = d/(k-i-d), gives
+    delta_j = a_j p_j sum_{i<j} x_i/p_{i+1} < 0, and sigma(h) > 0.  The
+    worst-case bound (Higham 2002, Lemma 3.1) charges delta_j 10j + 4
+    roundings (3j each for a_j and p_j, 4j + 2 for the sum, two products),
+    sigma(h) 4h + 4 and the error of the k = 0 series, the lag sums 2k,
+    plus the FFT's bound; if that breaks 1e-9 relative to ark + term1 the
+    direct sum runs, and a larger total raises AccuracyError.
+    """
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    if acov is None:
+        acov = exact_autocov(model, k - 1)
+    d, sigma2 = model.d, model.sigma2_eps
+    ark, ark_err = (sigma2 * x for x in _fi_ark(d, k))
+    i = np.arange(k)
+    q = k - i - d
+    p = np.cumprod((k - i) / q)  # p_1..p_k
+    delta = _fi_ar_values(d, k)[1:] * (p * np.cumsum(d / q / p))
+    sig = acov.values[:k]
+    # those of delta_k and sigma(k-1) bound every term's roundings
+    g = _worst_roundoff(2 * (10 * k + 4) + 4 * k + 2 * k)
+    rel = g + (1.0 + g) * math.expm1(_fi_log_ratio(d, 0)[1])
+    for atol in (math.inf, 0.0):  # the FFT, then the direct sum
+        term1, fft_err = _toeplitz_quadratic_form(sig, delta, atol)
+        total = ark + term1
+        err = ark_err + rel * term1 + (1.0 + g) * fft_err + _EPS * total
+        if err <= _TRUNC_RTOL * total or not fft_err:
+            break
+    if err > _TRUNC_RTOL * total:
+        raise AccuracyError(
+            f"truncation excess not certified to rtol={_TRUNC_RTOL:g}",
+            achieved=err / total)
+    return ark, term1
+
+
 def ark_excess(model, k):
     """v(k) - sigma_eps^2 of the order-k Yule-Walker predictor, cross-checked
     against the quadratic form of its coefficients.
@@ -169,6 +207,13 @@ def ark_excess(model, k):
     return _ark(model, k)[0]
 
 
+def _fi_ark(d, k):
+    """v(k)/sigma2 - 1 = expm1(L) of FI(d) and a bound on its error."""
+    log_v, log_err = _fi_log_ratio(d, k)
+    value = math.expm1(log_v)
+    return value, log_err * math.exp(log_v) + 1.5 * _EPS * value
+
+
 def _ark(model, k):
     """``ark_excess``'s value with the autocovariances sigma(0..k) and the
     order-k predictor it was checked against."""
@@ -176,13 +221,11 @@ def _ark(model, k):
         raise ValueError("order k must be >= 1")
     acov = exact_autocov(model, k)
     if model.is_pure_fractional:
-        log_v, log_err = _fi_log_ratio(model.d, k)
-        value = math.expm1(log_v)
-        err = log_err * math.exp(log_v) + 1.5 * _EPS * abs(value)
-        if err > _ARK_RTOL * abs(value):
+        value, err = _fi_ark(model.d, k)
+        if err > _ARK_RTOL * value:
             raise AccuracyError(
                 f"AR(k) excess not certified to rtol={_ARK_RTOL:g}",
-                achieved=err / abs(value))
+                achieved=err / value)
         model_k = fi_ark_closed_form(model.d, k, model.sigma2_eps)
         value *= model.sigma2_eps
     else:
@@ -222,71 +265,26 @@ def c_of_d(d):
     return d / (math.pi * math.tan(math.pi * (0.5 - d)))
 
 
-def _term1(sig, delta):
-    """term1 = delta' Sigma_k delta of the decomposition and the FFT bound
-    on it, at most a share _FFT_SHARE of ``r_of_k``'s margin
-    _R_CHECK_RTOL |term1|: past it the direct sum reruns and the bound
-    is 0."""
-    term1, term1_err = _toeplitz_quadratic_form(sig, delta, math.inf)
-    if term1_err > _FFT_SHARE * _R_CHECK_RTOL * abs(term1):
-        term1, term1_err = _toeplitz_quadratic_form(sig, delta, 0.0)
-    return term1, term1_err
-
-
-def _decomposition(d, k, sigma2_eps):
-    """The terms of ``excess_decomposition`` and the FFT bound on term1
-    (see ``_term1``)."""
-    model = LongMemoryModel.fi(d, sigma2_eps=sigma2_eps)
-    a = ar_inf_coeffs(model, k).values
-    sig = exact_autocov(model, k).values
-    delta = -fi_ark_closed_form(d, k, sigma2_eps).phi - a[1:]
-    term1, term1_err = _term1(sig, delta)
-    prod, _ = _toeplitz_matvec(sig, a)
-    term2 = 2.0 * float(np.dot(delta, prod[1:]))
-    term3 = truncation_excess(model, k)
-    return {"term1": term1, "term2": term2, "term3": term3}, term1_err
-
-
 def excess_decomposition(d, k, sigma2_eps=1.0):
-    """Three-term split of the AR(k) excess for fractional noise.
-
-    With delta = a_k - a over indices 1..k: term1 = delta' Sigma_k delta
-    (the mean-squared distance between the two forecasts), term2 =
-    2 delta'(Sigma_{k+1} a)[1:] = -2 * term1's cross piece against the tail,
-    term3 = a' Sigma_{k+1} a - sigma2 = the truncation excess, taken from
-    the certified ``truncation_excess``.  term1 and term2 are finite sums
-    by lag; term1 + term2 + term3 equals the AR(k) excess.
+    """Three-term split of the AR(k) excess for fractional noise, from
+    ark and term1 of ``_fi_split``: term1 = delta' Sigma_k delta, the
+    mean-squared distance between the two forecasts; the cross term
+    term2 = 2 delta'(Sigma_{k+1} a)[1:], which the projection identity
+    makes -2 term1 exactly; and term3 = a' Sigma_{k+1} a - sigma2 =
+    ark + term1, the truncation excess.  Their sum is the AR(k) excess.
     """
-    return _decomposition(d, k, sigma2_eps)[0]
+    ark, term1 = _fi_split(LongMemoryModel.fi(d, sigma2_eps=sigma2_eps), k)
+    return {"term1": term1, "term2": -2.0 * term1, "term3": ark + term1}
 
 
 def r_of_k(d, k):
     """Relative improvement of AR(k) fitting over truncation for fractional
-    noise, in [0, 1).
-
-    The closed form term1/term3 of the decomposition is returned, because
-    the direct (trunc - ark)/trunc cancels at small d; both share the
-    certified truncation excess trunc = term3, so their 1e-6 relative
-    agreement checks the projection identity term1 = trunc - ark, its
-    margin widened by the FFT bound on term1, at most a thousandth of it.
-    term1 is summed over the autocovariances and the closed-form predictor
-    that ``ark_excess`` checked, and term2 is not formed.
-    """
+    noise, in [0, 1): term1/(ark + term1) of ``_fi_split``, since
+    (trunc - ark)/trunc cancels at small d, over the autocovariances that
+    ``ark_excess`` checked its closed-form predictor against."""
     model = LongMemoryModel.fi(d)
-    trunc = truncation_excess(model, k)
-    ark, acov, model_k = _ark(model, k)
-    delta = -model_k.phi - ar_inf_coeffs(model, k).values[1:]
-    term1, term1_err = _term1(acov.values, delta)
-    r_closed = term1 / trunc
-    r_direct = (trunc - ark) / trunc
-    if (abs(r_closed - r_direct)
-            > _R_CHECK_RTOL * max(abs(r_direct), 1e-12)
-            + term1_err / trunc):
-        raise InternalConsistencyError(
-            f"improvement ratio mismatch: closed-form {r_closed!r} vs "
-            f"direct {r_direct!r}"
-        )
-    return r_closed
+    ark, term1 = _fi_split(model, k, _ark(model, k)[1])
+    return term1 / (ark + term1)
 
 
 # ---------------------------------------------------------------------------

@@ -615,6 +615,37 @@ def test_every_committed_artifact_has_one_experiment():
     assert sorted(EXPERIMENTS) == sorted(os.listdir(ROOT / "out"))
 
 
+def test_reproduce_script_finds_the_checkout_without_pythonpath(tmp_path):
+    # loaded from outside the repository with PYTHONPATH unset; the run name
+    # is not __main__, so the table is not run
+    code = ("import json, runpy, sys; print(json.dumps(sorted(runpy.run_path("
+            "sys.argv[1], run_name='reproduce')['EXPERIMENTS'])))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "scripts" / "reproduce.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(proc.stdout)
+    assert len(names) == 11
+    assert names == sorted(os.listdir(ROOT / "out"))
+
+
+def test_an_order_too_large_to_allocate_exits_1_without_traceback(tmp_path):
+    # 2^45 float64 values exceed a 47-bit address space, so numpy refuses
+    # the array at once and no memory is touched
+    out = tmp_path / "o.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "longpred", "trunc-rate", "--d", "0.3",
+         "--k-grid", "10,35184372088832", "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numeric failure: Unable to allocate")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_experiment_config_hash_matches_committed_artifact(name):
     _, config = _parse(EXPERIMENTS[name] + ["--out", name])

@@ -137,21 +137,22 @@ def test_k_times_truncation_excess_converges():
 
 
 def lag_route(monkeypatch, atol):
-    """Send truncation_excess's lag products down one route: atol = 0 the
-    direct sum, atol = inf the FFT above the crossover."""
+    """Send every truncation excess's lag products down one route: atol = 0
+    the direct sum, atol = inf the FFT above the crossover."""
     kernel = toeplitz._lag_products
-    monkeypatch.setattr("longpred.risk._lag_products",
-                        lambda x, y, lags, _: kernel(x, y, lags, atol))
+    for module in ("risk", "toeplitz"):
+        monkeypatch.setattr(f"longpred.{module}._lag_products",
+                            lambda x, y, lags, _: kernel(x, y, lags, atol))
 
 
-def fft_achieved(monkeypatch, model, k):
-    """The relative bound that the FFT route certifies, read from the
-    AccuracyError of a zero tolerance."""
+def fft_achieved(monkeypatch, excess, model, k):
+    """The relative bound that excess(model, k) certifies on the FFT route,
+    read from the AccuracyError of a zero tolerance."""
     with monkeypatch.context() as m:
         lag_route(m, math.inf)
         m.setattr("longpred.risk._TRUNC_RTOL", 0.0)
         with pytest.raises(AccuracyError) as exc:
-            lp.truncation_excess(model, k)
+            excess(model, k)
     return exc.value.achieved
 
 
@@ -160,11 +161,11 @@ def test_truncation_excess_fft_route_matches_the_direct_route(monkeypatch, d):
     # at k = 25 600 the FFT certifies its value; the direct long-double
     # sum, certified too, is the reference, within the sum of both bounds
     model, k = lp.LongMemoryModel.fi(d), 25600
-    fft = lp.truncation_excess(model, k)
-    achieved = fft_achieved(monkeypatch, model, k)
+    fft = risk._toeplitz_excess(model, k)
+    achieved = fft_achieved(monkeypatch, risk._toeplitz_excess, model, k)
     assert achieved <= 1e-9
     lag_route(monkeypatch, 0.0)
-    direct = lp.truncation_excess(model, k)
+    direct = risk._toeplitz_excess(model, k)
     assert abs(fft - direct) <= achieved * fft + 1e-9 * direct
 
 
@@ -176,7 +177,7 @@ def test_truncation_excess_takes_the_direct_route_when_the_fft_bound_fails(
     model, k = lp.LongMemoryModel.fi(0.45), 1600
     with monkeypatch.context() as m:
         lag_route(m, 0.0)
-        direct = lp.truncation_excess(model, k)
+        direct = risk._toeplitz_excess(model, k)
     kernel, calls = toeplitz._lag_products, []
 
     def spy(x, y, lags, atol):
@@ -186,7 +187,7 @@ def test_truncation_excess_takes_the_direct_route_when_the_fft_bound_fails(
 
     monkeypatch.setattr("longpred.risk._lag_products", spy)
     monkeypatch.setattr("longpred.toeplitz._WIDE_EPS", fraccoeff._EPS)
-    assert lp.truncation_excess(model, k) == direct
+    assert risk._toeplitz_excess(model, k) == direct
     wide = [err for dtype, err in calls if dtype == fraccoeff._WIDE]
     assert len(wide) == 2 and wide[0] > 0.0 and wide[1] == 0.0
 
@@ -218,7 +219,7 @@ def test_fft_bound_misses_at_102400_for_large_d(monkeypatch, d):
 
     monkeypatch.setattr("longpred.risk._lag_products", no_direct)
     with pytest.raises(DirectRoute):
-        lp.truncation_excess(lp.LongMemoryModel.fi(d), 102400)
+        risk._toeplitz_excess(lp.LongMemoryModel.fi(d), 102400)
 
 
 def test_truncation_excess_scales_with_sigma2():
@@ -303,13 +304,11 @@ def test_ark_excess_fft_cross_check_catches_a_wrong_closed_form(monkeypatch):
 
 
 def test_cross_checks_take_the_direct_sum_past_the_fft_share(monkeypatch):
-    # an FFT may widen ark_excess's and r_of_k's margins by at most a
-    # thousandth of them; with no share left both lag sums run directly,
-    # so neither margin widens, and the ratio moves far below the check
+    # an FFT may widen ark_excess's margin by at most a thousandth of it;
+    # with no share left its lag sum runs directly, so the margin does not
+    # widen, and the ratio does not move
     d, k = 0.3, 1600
     fft_r = lp.r_of_k(d, k)
-    terms, term1_err = risk._decomposition(d, k, 1.0)
-    assert 0.0 < term1_err <= 1e-3 * 1e-6 * terms["term1"]
     errs = []
     kernel = toeplitz.innovation_variance_quadratic_form
 
@@ -321,7 +320,6 @@ def test_cross_checks_take_the_direct_sum_past_the_fft_share(monkeypatch):
     monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
                         spy)
     monkeypatch.setattr("longpred.risk._FFT_SHARE", 0.0)
-    assert risk._decomposition(d, k, 1.0)[1] == 0.0
     assert lp.r_of_k(d, k) == pytest.approx(fft_r, rel=1e-12)
     assert errs == [0.0]
 
@@ -536,8 +534,8 @@ def test_ratio_routes_agree_on_grid():
 
 
 def test_ratio_computes_each_certified_quantity_once(monkeypatch):
-    # r_of_k takes term1 from the autocovariances and closed-form predictor
-    # that ark_excess checked, and forms no term2
+    # r_of_k takes term1 from the autocovariances that ark_excess checked
+    # its closed-form predictor against, and forms no term2
     calls = {}
 
     def spy(name):
@@ -550,14 +548,15 @@ def test_ratio_computes_each_certified_quantity_once(monkeypatch):
 
         monkeypatch.setattr(f"longpred.risk.{name}", counted)
 
-    for name in ("exact_autocov", "fi_ark_closed_form", "truncation_excess",
-                 "innovation_variance_quadratic_form", "_toeplitz_matvec"):
+    for name in ("exact_autocov", "fi_ark_closed_form", "_fi_split",
+                 "innovation_variance_quadratic_form",
+                 "_toeplitz_quadratic_form", "truncation_excess"):
         spy(name)
     lp.r_of_k(0.3, 20)
     assert calls == {"exact_autocov": 1, "fi_ark_closed_form": 1,
-                     "truncation_excess": 1,
+                     "_fi_split": 1,
                      "innovation_variance_quadratic_form": 1,
-                     "_toeplitz_matvec": 0}
+                     "_toeplitz_quadratic_form": 1, "truncation_excess": 0}
 
 
 @pytest.mark.parametrize("d, k", [(0.1, 10), (0.35, 30), (0.45, 50),
@@ -568,10 +567,10 @@ def test_ratio_is_the_decomposition_ratio_bit_for_bit(d, k):
     assert lp.r_of_k(d, k) == dec["term1"] / dec["term3"]
 
 
-def ratio_mpmath(d, k):
-    """(trunc - ark)/trunc of FI(d) at 40 digits: the truncation excess as
-    the double sum sum_{j,l<=k} a_j a_l sigma(j-l) - 1 with a and sigma from
-    their ratio recursions, the AR(k) excess as its gamma ratio."""
+def excesses_mpmath(d, k):
+    """The truncation and AR(k) excesses of FI(d) as 40-digit mpf: the
+    former as the double sum sum_{j,l<=k} a_j a_l sigma(j-l) - 1 with a and
+    sigma from their ratio recursions, the latter as its gamma ratio."""
     with mpmath.workdps(40):
         d = mpmath.mpf(d)
         a, rho = [mpmath.mpf(1)], [mpmath.mpf(1)]
@@ -583,6 +582,13 @@ def ratio_mpmath(d, k):
         trunc = sigma0 * (w[0] + 2 * mpmath.fdot(w[1:], rho[1:])) - 1
         lg = mpmath.loggamma
         ark = mpmath.expm1(lg(k + 1) + lg(k + 1 - 2 * d) - 2 * lg(k + 1 - d))
+        return +trunc, +ark
+
+
+def ratio_mpmath(d, k):
+    """(trunc - ark)/trunc of ``excesses_mpmath`` at 40 digits."""
+    with mpmath.workdps(40):
+        trunc, ark = excesses_mpmath(d, k)
         return float((trunc - ark) / trunc)
 
 
@@ -598,6 +604,81 @@ def test_ratio_at_small_d_matches_mpmath_closely(d, k):
     # cancels hardest
     np.testing.assert_allclose(lp.r_of_k(d, k), ratio_mpmath(d, k),
                                rtol=1e-12)
+
+
+def gosper_trunc_mpmath(d, k):
+    """The truncation excess of FI(d) at 30 digits as the sum of positive
+    terms P_k^2 sum_{i>=1} (i psi_i/(i + k))^2, with
+    P_k = -Gamma(k+1-d)/(Gamma(k+1) Gamma(1-d)) and
+    i psi_i = Gamma(i+d)/(Gamma(i) Gamma(d)): the squared coefficients of
+    the truncated filter's error on eps_{t-k-i}, summed in j by Gosper's
+    algorithm.  The sum is (d/(1+k))^2 4F3(1+d, 1+d, 1+k, 1+k;
+    1, 2+k, 2+k; 1), which mpmath sums by Euler-Maclaurin; it is fast for
+    small d."""
+    with mpmath.workdps(30):
+        d = mpmath.mpf(d)
+        p = mpmath.gamma(k + 1 - d) / (mpmath.gamma(k + 1)
+                                       * mpmath.gamma(1 - d))
+        series = mpmath.hyper([1 + d, 1 + d, 1 + k, 1 + k],
+                              [1, 2 + k, 2 + k], 1)
+        return float(p * p * (d / (1 + k)) ** 2 * series)
+
+
+@pytest.mark.parametrize("d, k", [(1e-4, 6400), (0.01, 1600), (0.1, 6400)])
+def test_fi_truncation_excess_matches_the_gosper_series(d, k):
+    value = lp.truncation_excess(lp.LongMemoryModel.fi(d), k)
+    np.testing.assert_allclose(value, gosper_trunc_mpmath(d, k), rtol=1e-12)
+
+
+@pytest.mark.parametrize("d, k", [(0.3, 400), (0.45, 200), (0.4999, 400)])
+def test_fi_truncation_excess_matches_the_mpmath_double_sum(d, k):
+    value = lp.truncation_excess(lp.LongMemoryModel.fi(d), k)
+    np.testing.assert_allclose(value, float(excesses_mpmath(d, k)[0]),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 200, 1600, 6400])
+@pytest.mark.parametrize("d", [0.01, 0.1, 0.25, 0.4, 0.45, 0.4999])
+def test_fi_split_matches_the_toeplitz_route(monkeypatch, d, k):
+    # ark + term1 against the long-double quadratic form of the truncated
+    # filter, within the sum of both certified bounds; bounds within 1e-9
+    # on the FFT route show that the default calls keep the FFT's value
+    model = lp.LongMemoryModel.fi(d)
+    split = lp.truncation_excess(model, k)
+    form = risk._toeplitz_excess(model, k)
+    split_rel = fft_achieved(monkeypatch, lp.truncation_excess, model, k)
+    form_rel = fft_achieved(monkeypatch, risk._toeplitz_excess, model, k)
+    assert split_rel <= 1e-9 and form_rel <= 1e-9
+    assert abs(split - form) <= split_rel * split + form_rel * form
+
+
+@pytest.mark.parametrize("d", [0.45, 0.49])
+def test_fi_truncation_excess_is_certified_fast_at_102400(d):
+    model = lp.LongMemoryModel.fi(d)
+    t0 = time.perf_counter()
+    value = lp.truncation_excess(model, 102400)
+    assert time.perf_counter() - t0 < 1.0
+    assert 0.0 < 102400 * value < lp.c_of_d(d)
+
+
+def test_fi_risks_sum_no_long_double(monkeypatch):
+    # every FI risk quantity is a float64 sum of positive terms, so no long
+    # double array reaches the lag products, above or below the crossover
+    dtypes = []
+    kernel = toeplitz._lag_products
+
+    def spy(x, y, lags, atol):
+        dtypes.append(x.dtype)
+        return kernel(x, y, lags, atol)
+
+    for module in ("risk", "toeplitz"):
+        monkeypatch.setattr(f"longpred.{module}._lag_products", spy)
+    for k in (10, 1600):
+        lp.truncation_excess(lp.LongMemoryModel.fi(0.3, sigma2_eps=2.0), k)
+        lp.r_of_k(0.3, k)
+        excess_decomposition(0.3, k)
+    assert len(dtypes) >= 8
+    assert all(dtype == np.float64 for dtype in dtypes)
 
 
 def test_decomposition_forms_no_order_k_matrix():
