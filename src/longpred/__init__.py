@@ -18,15 +18,14 @@ from .predictor import (Forecast, ark_plugin_predict, ark_predict,
                         wk_plugin_predict, wk_truncated_predict)
 from .risk import (SlopeReport, ark_excess, c_of_d, coeffcov_scaling,
                    compute_H, covmoment_exact, covmoment_scaling,
-                   excess_decomposition,
+                   excess_decomposition, fi_ark_closed_form,
                    h_covariance_check, r_of_k, truncation_excess,
                    wk_plugin_scaling)
 from .series import SamplePath
 from .simulate import gaussian_paths
 from .spectral import (Periodogram, WhittleFit, periodogram,
                        periodogram_ordinate, whittle_fit)
-from .toeplitz import (ArkModel, durbin_levinson, empirical_autocov,
-                       fi_ark_closed_form)
+from .toeplitz import ArkModel, durbin_levinson, empirical_autocov
 
 __all__ = [
     "AccuracyError", "ArkModel", "AutocovSeq", "CoeffSeq", "DomainError",

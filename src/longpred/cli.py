@@ -119,13 +119,17 @@ def _parse_grid(text):
     return values
 
 
-def _parse_int_grid(text):
-    return [int(v) for v in _parse_grid(text)]
+def _parse_int_grid(text, flag):
+    """The grid of flag as ints: inf, nan or a fraction is a usage error."""
+    values = _parse_grid(text)
+    if not all(v.is_integer() for v in values):
+        raise UsageError(f"{flag}: values must be whole numbers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _slope_grid(text, flag):
     """The int grid of a command that reports a log-log slope over it."""
-    grid = _parse_int_grid(text)
+    grid = _parse_int_grid(text, flag)
     if len(set(grid)) < 2:
         raise UsageError(f"{flag}: a slope needs at least two distinct grid "
                          f"values, got {text!r}")
@@ -211,7 +215,7 @@ def _cmd_cd_curve(args, config):
 
 def _cmd_ratio_curve(args, config):
     d_grid = _parse_grid(args.d)
-    k_grid = _parse_int_grid(args.k)
+    k_grid = _parse_int_grid(args.k, "--k")
     rows = [(k, d, r_of_k(d, k)) for d in d_grid for k in k_grid]
     write_artifact(args.out, ["k", "d", "r"], rows, args.seed, config)
     return 0
@@ -359,8 +363,8 @@ def _cmd_fit(args, config):
 def _cmd_total_error(args, config):
     """Method error vs estimation error over a (k, T) grid, both predictors:
     the Monte Carlo means without a slope fit, so one T is enough."""
-    k_grid = _parse_int_grid(args.k_grid)
-    t_grid = _parse_int_grid(args.t_grid)
+    k_grid = _parse_int_grid(args.k_grid, "--k-grid")
+    t_grid = _parse_int_grid(args.t_grid, "--t-grid")
     _check_training(t_grid, "--t-grid", k=max(k_grid), k_flag="--k-grid",
                     whittle=True)
     model = LongMemoryModel.fi(args.d)
@@ -539,11 +543,12 @@ def _parse(argv):
     if "reps" in flags and args.reps < 1:
         raise UsageError("--reps must be >= 1")
     for name in {"k", "k_grid"} & flags:
-        value = getattr(args, name)
-        orders = _parse_int_grid(value) if isinstance(value, str) else [value]
+        value, flag = getattr(args, name), f"--{name.replace('_', '-')}"
+        orders = (_parse_int_grid(value, flag) if isinstance(value, str)
+                  else [value])
         if value is not None and min(orders) < 1:
-            raise UsageError(f"--{name.replace('_', '-')}: an order must be "
-                             f">= 1, got {min(orders)}")
+            raise UsageError(f"{flag}: an order must be >= 1, got "
+                             f"{min(orders)}")
     # the subcommand is hashed too: trunc-rate and ark-rate share every flag
     return args, {name: getattr(args, name) for name in flags | {"command"}}
 

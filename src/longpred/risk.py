@@ -31,10 +31,9 @@ from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
-from .toeplitz import (_lag_products, _toeplitz_inverse,
+from .toeplitz import (ArkModel, _lag_products, _toeplitz_inverse,
                        _toeplitz_quadratic_form, durbin_levinson,
-                       empirical_autocov, fi_ark_closed_form,
-                       innovation_variance_quadratic_form)
+                       empirical_autocov, innovation_variance_quadratic_form)
 
 # relative accuracy certified by truncation_excess and, for FI, ark_excess
 _TRUNC_RTOL = _ARK_RTOL = 1e-9
@@ -141,106 +140,119 @@ def _toeplitz_excess(model, k):
     if err > _TRUNC_RTOL * abs(value) and tail_err:
         # the FFT's bound misses where the direct sum's may not
         value, err, _ = excess(0.0)
-    if err > _TRUNC_RTOL * abs(value):
-        raise AccuracyError(
-            f"truncation excess not certified to rtol={_TRUNC_RTOL:g}",
-            achieved=err / abs(value))
+    _certify("truncation excess", abs(value), err, _TRUNC_RTOL)
     return model.sigma2_eps * value
 
 
-def _fi_split(model, k, acov=None):
-    """ark = v(k) - sigma2 and term1 = delta' Sigma_k delta of FI, with
-    delta = a_k - a over 1..k and Sigma_k from sigma(0..k-1) of acov (by
-    default the exact ones).  ark + term1 is the truncation excess: the
-    AR(k) forecast error is orthogonal to X_1..X_k, and the two forecasts
-    differ by delta'X (Brockwell and Davis 1991, Sec. 5.1).
-
-    Both are sums of positive terms.  ark is sigma2 expm1 of the series of
-    ``fraccoeff._fi_log_ratio``.  Hosking's a_{j,k} = a_j p_j, with
-    p_j = prod_{i<j} (1 + x_i) and x_i = d/(k-i-d), gives
-    delta_j = a_j p_j sum_{i<j} x_i/p_{i+1} < 0, and sigma(h) > 0.  The
-    worst-case bound (Higham 2002, Lemma 3.1) charges delta_j 10j + 4
-    roundings (3j each for a_j and p_j, 4j + 2 for the sum, two products),
-    sigma(h) 4h + 4 and the error of the k = 0 series, the lag sums 2k,
-    plus the FFT's bound; if that breaks 1e-9 relative to ark + term1 the
-    direct sum runs, and a larger total raises AccuracyError.
+def _fi_order_k(d, k, sigma2_eps):
+    """The order-k quantities of FI(d) from one sum of the all-positive
+    gamma-ratio series L = log(v(k)/sigma2) of ``fraccoeff._fi_log_ratio``
+    and one Hosking product (Biometrika 68, 1981): a_{j,k} = a_j p_j,
+    p_j = prod_{i<j} (1 + x_i), x_i = d/(k-i-d).  Returns ark = v(k) -
+    sigma2 = sigma2 expm1(L), in which nothing of the size of sigma(0)
+    cancels, and a bound on its error (that of L through the slope exp(L),
+    plus one rounding each of expm1 and the scaling), uncertified; the
+    predictor phi_j = -a_{j,k} with v(k) = sigma2 exp(L) and the partials
+    d/(t - d); and delta = a_k - a, delta_j = a_j p_j sum_{i<j} x_i/p_{i+1}.
     """
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    if acov is None:
-        acov = exact_autocov(model, k - 1)
-    d, sigma2 = model.d, model.sigma2_eps
-    ark, ark_err = (sigma2 * x for x in _fi_ark(d, k))
+    log_v, log_err = _fi_log_ratio(d, k)
+    v = math.exp(log_v)
+    ark = math.expm1(log_v)
     i = np.arange(k)
     q = k - i - d
     p = np.cumprod((k - i) / q)  # p_1..p_k
-    delta = _fi_ar_values(d, k)[1:] * (p * np.cumsum(d / q / p))
+    a = _fi_ar_values(d, k)[1:]
+    model_k = ArkModel(k=k, phi=-a * p, v=sigma2_eps * v,
+                       partials=d / (i + 1.0 - d))
+    return (sigma2_eps * ark, sigma2_eps * (log_err * v + 1.5 * _EPS * ark),
+            model_k, a * (p * np.cumsum(d / q / p)))
+
+
+def _fi_split(model, k):
+    """ark of ``_fi_order_k`` and term1 of ``_fi_term1`` at order k."""
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    ark, ark_err, _, delta = _fi_order_k(model.d, k, model.sigma2_eps)
+    return ark, _fi_term1(exact_autocov(model, k - 1), ark, ark_err, delta)
+
+
+def _fi_term1(acov, ark, ark_err, delta):
+    """term1 = delta' Sigma_k delta of FI over sigma(0..k-1) of acov,
+    k = len(delta).  ark + term1 is the truncation excess: the AR(k)
+    forecast error is orthogonal to X_1..X_k, and the two forecasts differ
+    by delta'X (Brockwell and Davis 1991, Sec. 5.1).  delta < 0 and
+    sigma(h) > 0, so term1 is a sum of positive terms.  The worst-case
+    bound (Higham 2002, Lemma 3.1) charges delta_j 10j + 4 roundings (3j
+    each for a_j and p_j, 4j + 2 for the sum, two products), sigma(h)
+    4h + 4 and the error of the k = 0 series, the lag sums 2k, plus ark_err
+    and the FFT's bound; if that breaks 1e-9 relative to ark + term1 the
+    direct sum runs, and a larger total raises AccuracyError.
+    """
+    k = delta.size
     sig = acov.values[:k]
     # those of delta_k and sigma(k-1) bound every term's roundings
     g = _worst_roundoff(2 * (10 * k + 4) + 4 * k + 2 * k)
-    rel = g + (1.0 + g) * math.expm1(_fi_log_ratio(d, 0)[1])
+    rel = g + (1.0 + g) * math.expm1(_fi_log_ratio(acov.model.d, 0)[1])
     for atol in (math.inf, 0.0):  # the FFT, then the direct sum
         term1, fft_err = _toeplitz_quadratic_form(sig, delta, atol)
         total = ark + term1
         err = ark_err + rel * term1 + (1.0 + g) * fft_err + _EPS * total
         if err <= _TRUNC_RTOL * total or not fft_err:
             break
-    if err > _TRUNC_RTOL * total:
-        raise AccuracyError(
-            f"truncation excess not certified to rtol={_TRUNC_RTOL:g}",
-            achieved=err / total)
-    return ark, term1
+    _certify("truncation excess", total, err, _TRUNC_RTOL)
+    return term1
 
 
-def ark_excess(model, k):
-    """v(k) - sigma_eps^2 of the order-k Yule-Walker predictor, cross-checked
-    against the quadratic form of its coefficients.
-
-    For fractional noise v(k)/sigma2 = exp(L) with L the all-positive
-    gamma-ratio series of ``fraccoeff._fi_log_ratio``, and the excess is
-    sigma2 expm1(L), so nothing of the size of sigma(0) cancels.  Its error
-    bound, that of L through the slope exp(L) plus one rounding each of
-    expm1 and the scaling, must stay below 1e-9 relative, or AccuracyError
-    is raised before the cross-check, a lag sum of the coefficients.
-    FARIMA models run Durbin-Levinson on the exact autocovariances.
-    """
-    return _ark(model, k)[0]
+def _certify(quantity, value, err, rtol):
+    """Raise AccuracyError if the bound err exceeds rtol of value > 0."""
+    if err > rtol * value:
+        raise AccuracyError(f"{quantity} not certified to rtol={rtol:g}",
+                            achieved=err / value)
 
 
-def _fi_ark(d, k):
-    """v(k)/sigma2 - 1 = expm1(L) of FI(d) and a bound on its error."""
-    log_v, log_err = _fi_log_ratio(d, k)
-    value = math.expm1(log_v)
-    return value, log_err * math.exp(log_v) + 1.5 * _EPS * value
-
-
-def _ark(model, k):
-    """``ark_excess``'s value with the autocovariances sigma(0..k) and the
-    order-k predictor it was checked against."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    acov = exact_autocov(model, k)
-    if model.is_pure_fractional:
-        value, err = _fi_ark(model.d, k)
-        if err > _ARK_RTOL * value:
-            raise AccuracyError(
-                f"AR(k) excess not certified to rtol={_ARK_RTOL:g}",
-                achieved=err / value)
-        model_k = fi_ark_closed_form(model.d, k, model.sigma2_eps)
-        value *= model.sigma2_eps
-    else:
-        model_k = durbin_levinson(acov, k)
-        value = model_k.v - model.sigma2_eps
-    # an FFT runs in the cross-check only if its bound fits in a small
-    # share of the margin, which it then widens
+def _check_predictor(acov, model_k):
+    """Raise InternalConsistencyError unless v(k) of model_k is within 1e-8
+    sigma(0) of its coefficients' quadratic form over acov; an FFT runs in
+    it only if its bound fits in a share of that margin, which it widens."""
     margin = _ARK_CHECK_RTOL * acov.values[0]
     quad_v, quad_err = innovation_variance_quadratic_form(
         acov, model_k, _FFT_SHARE * margin)
     if abs(quad_v - model_k.v) > margin + quad_err:
         raise InternalConsistencyError(
-            f"v(k) {model_k.v!r} disagrees with quadratic form {quad_v!r}"
-        )
-    return value, acov, model_k
+            f"v(k) {model_k.v!r} disagrees with quadratic form {quad_v!r}")
+
+
+def ark_excess(model, k):
+    """v(k) - sigma_eps^2 of the order-k Yule-Walker predictor, cross-checked
+    against the quadratic form of its coefficients.  Fractional noise takes
+    ark of ``_fi_order_k``, whose bound must stay below 1e-9 relative, or
+    AccuracyError is raised before the cross-check, an O(k^2) lag sum.
+    FARIMA models run Durbin-Levinson on the exact autocovariances.
+    """
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    acov = exact_autocov(model, k)
+    if model.is_pure_fractional:
+        value, err, model_k, _ = _fi_order_k(model.d, k, model.sigma2_eps)
+        _certify("AR(k) excess", value, err, _ARK_RTOL)
+    else:
+        model_k = durbin_levinson(acov, k)
+        value = model_k.v - model.sigma2_eps
+    _check_predictor(acov, model_k)
+    return value
+
+
+def fi_ark_closed_form(d, k, sigma2_eps=1.0):
+    """Order-k Yule-Walker predictor for fractional noise in closed form,
+    that of ``_fi_order_k``: phi_j = -a_{j,k} > 0, the partials d/(t - d)
+    and v(k) = sigma2 Gamma(k+1) Gamma(k+1-2d)/Gamma(k+1-d)^2 (Hosking
+    1981, Biometrika), in O(k) work with no gamma function and no
+    Durbin-Levinson recursion."""
+    if not (0.0 < d < 0.5):
+        raise DomainError(f"d={d} outside ]0, 1/2[")
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    return _fi_order_k(d, k, sigma2_eps)[2]
 
 
 def c_of_d(d):
@@ -279,11 +291,17 @@ def excess_decomposition(d, k, sigma2_eps=1.0):
 
 def r_of_k(d, k):
     """Relative improvement of AR(k) fitting over truncation for fractional
-    noise, in [0, 1): term1/(ark + term1) of ``_fi_split``, since
-    (trunc - ark)/trunc cancels at small d, over the autocovariances that
-    ``ark_excess`` checked its closed-form predictor against."""
+    noise, in [0, 1): term1/(ark + term1), since (trunc - ark)/trunc
+    cancels at small d.  One ``_fi_order_k`` pass and one ``exact_autocov``
+    serve ark and its cross-check, as in ``ark_excess``, and term1."""
     model = LongMemoryModel.fi(d)
-    ark, term1 = _fi_split(model, k, _ark(model, k)[1])
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    acov = exact_autocov(model, k)
+    ark, ark_err, model_k, delta = _fi_order_k(d, k, 1.0)
+    _certify("AR(k) excess", ark, ark_err, _ARK_RTOL)
+    _check_predictor(acov, model_k)
+    term1 = _fi_term1(acov, ark, ark_err, delta)
     return term1 / (ark + term1)
 
 

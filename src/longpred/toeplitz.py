@@ -6,9 +6,9 @@ The order-k least-squares predictor solves
 Sign conventions: ``ArkModel.phi`` always holds positive-forecast weights
 (forecast = sum_j phi_j X_{n+1-j}).  The AR-infinity convention used by
 ``fraccoeff`` has a_0 = 1 and a_j < 0 for fractional noise; the closed-form
-order-k coefficients are converted at this module's boundary via
-phi_j = -a_{j,k}.  Sigma_k^{-1} comes from the same Durbin-Levinson
-recursion, by the Gohberg-Semencul formula.
+FI predictor of ``risk.fi_ark_closed_form`` converts its order-k
+coefficients via phi_j = -a_{j,k}.  Sigma_k^{-1} comes from the same
+Durbin-Levinson recursion, by the Gohberg-Semencul formula.
 """
 
 import math
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NotPositiveDefiniteError
-from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, AutocovSeq, _fi_ar_values,
-                        _fi_log_ratio)
+from .errors import AccuracyError, NotPositiveDefiniteError
+from .fraccoeff import _EPS, _WIDE, _WIDE_EPS, AutocovSeq
 
 
 @dataclass(frozen=True)
@@ -114,28 +113,6 @@ def empirical_autocov(sample, maxlag, demean=False):
         raise NotPositiveDefiniteError(0, "degenerate sample: sigma_hat(0) "
                                           "is not positive")
     return AutocovSeq(values=out, source="empirical", model=None)
-
-
-def fi_ark_closed_form(d, k, sigma2_eps=1.0):
-    """Order-k Yule-Walker predictor for fractional noise in closed form.
-
-    The AR-infinity-convention coefficients a_{j,k} = a_j prod_{i<j}
-    (k-i)/(k-i-d), a_j the AR-infinity ones, are all negative: one running
-    product on a_j's ratio recursion, and no gamma function.  The
-    returned predictor weights are phi_j = -a_{j,k}.  The partials d/(t - d)
-    (Hosking 1981, Biometrika) and the innovation variance v(k) = sigma2
-    Gamma(k+1) Gamma(k+1-2d)/Gamma(k+1-d)^2 are closed forms too, so no
-    Durbin-Levinson recursion runs: O(k) work.
-    """
-    if not (0.0 < d < 0.5):
-        raise DomainError(f"d={d} outside ]0, 1/2[")
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    i = np.arange(k, dtype=float)
-    phi = -_fi_ar_values(d, k)[1:] * np.cumprod((k - i) / (k - i - d))
-    log_v, _ = _fi_log_ratio(d, k)
-    return ArkModel(k=k, phi=phi, v=sigma2_eps * math.exp(log_v),
-                    partials=d / (i + 1.0 - d))
 
 
 def _toeplitz_inverse(acov, k):

@@ -94,6 +94,31 @@ def test_order_below_one_exits_2_naming_the_flag(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["trunc-rate", "--d", 0.3, "--k-grid", "10,inf"], "--k-grid"),
+    (["ark-rate", "--k-grid=-inf,10"], "--k-grid"),
+    (["trunc-rate", "--k-grid", "100,200.7"], "--k-grid"),
+    (["ratio-curve", "--k", "10,nan"], "--k"),
+    (["coeffcov-mc", "--t-grid", "1024,inf", "--reps", 50], "--t-grid"),
+    (["estimation-error", "--t-grid", "1024,2048.5", "--reps", 50],
+     "--t-grid"),
+    (["covmoment-mc", "--n-grid", "1024,nan", "--reps", 50], "--n-grid"),
+    (["total-error", "--k-grid", 8, "--t-grid", "512,inf", "--reps", 50],
+     "--t-grid"),
+    (["total-error", "--k-grid", 8.5, "--t-grid", 512, "--reps", 50],
+     "--k-grid"),
+])
+def test_integer_grid_of_non_integers_exits_2_naming_the_flag(
+        tmp_path, capsys, command, flag):
+    # int(inf) raised OverflowError, int(nan) a ValueError naming no flag,
+    # and int(200.7) wrote rows for k = 200
+    out = tmp_path / "never.csv"
+    assert run(command + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag}: values must be whole numbers" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["cd-curve", "--bogus", 1]) == 2
     capsys.readouterr()

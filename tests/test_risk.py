@@ -263,16 +263,25 @@ def test_ark_excess_cross_check_catches_a_wrong_recursion(monkeypatch):
         lp.ark_excess(lp.LongMemoryModel.farima(0.3, ar=(0.5,)), 50)
 
 
+def shift_closed_form_v(monkeypatch):
+    """Make the FI order-k pass return its predictor with v shifted by
+    1e-6 sigma(0), 100 times the 1e-8 cross-check."""
+    order_k = risk._fi_order_k
+
+    def shifted(d, k, sigma2_eps):
+        ark, err, model_k, delta = order_k(d, k, sigma2_eps)
+        sigma0 = lp.exact_autocov(lp.LongMemoryModel.fi(d, sigma2_eps),
+                                  0).values[0]
+        return ark, err, dataclasses.replace(
+            model_k, v=model_k.v + 1e-6 * sigma0), delta
+
+    monkeypatch.setattr("longpred.risk._fi_order_k", shifted)
+
+
 def test_ark_excess_cross_check_catches_a_wrong_closed_form(monkeypatch):
     # fractional noise takes the closed form; its v shifted by 1e-6 sigma(0)
     # must disagree with the quadratic form of its coefficients
-    def shifted(d, k, sigma2_eps=1.0):
-        model_k = lp.fi_ark_closed_form(d, k, sigma2_eps)
-        sigma0 = lp.exact_autocov(lp.LongMemoryModel.fi(d, sigma2_eps),
-                                  0).values[0]
-        return dataclasses.replace(model_k, v=model_k.v + 1e-6 * sigma0)
-
-    monkeypatch.setattr("longpred.risk.fi_ark_closed_form", shifted)
+    shift_closed_form_v(monkeypatch)
     with pytest.raises(InternalConsistencyError):
         lp.ark_excess(lp.LongMemoryModel.fi(0.3), 50)
 
@@ -280,12 +289,6 @@ def test_ark_excess_cross_check_catches_a_wrong_closed_form(monkeypatch):
 def test_ark_excess_fft_cross_check_catches_a_wrong_closed_form(monkeypatch):
     # at k = 1600 the quadratic form runs through the FFT, whose bound
     # widens the 1e-8 sigma(0) margin by far less than the 1e-6 shift
-    def shifted(d, k, sigma2_eps=1.0):
-        model_k = lp.fi_ark_closed_form(d, k, sigma2_eps)
-        sigma0 = lp.exact_autocov(lp.LongMemoryModel.fi(d, sigma2_eps),
-                                  0).values[0]
-        return dataclasses.replace(model_k, v=model_k.v + 1e-6 * sigma0)
-
     errs = []
     kernel = toeplitz.innovation_variance_quadratic_form
 
@@ -297,7 +300,7 @@ def test_ark_excess_fft_cross_check_catches_a_wrong_closed_form(monkeypatch):
     monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
                         spy)
     lp.ark_excess(lp.LongMemoryModel.fi(0.3), 1600)
-    monkeypatch.setattr("longpred.risk.fi_ark_closed_form", shifted)
+    shift_closed_form_v(monkeypatch)
     with pytest.raises(InternalConsistencyError):
         lp.ark_excess(lp.LongMemoryModel.fi(0.3), 1600)
     assert 0.0 < errs[0] < 1e-3 * 1e-8
@@ -521,12 +524,14 @@ def test_decomposition_sign_pattern():
 
 
 def test_ratio_routes_agree_on_grid():
+    # the truncation excess of the long-double Toeplitz route, independent
+    # of the split into ark + term1
     for d in (0.1, 0.25, 0.4):
         for k in (10, 50, 200):
             dec = excess_decomposition(d, k)
             r_closed = dec["term1"] / dec["term3"]
             model = lp.LongMemoryModel.fi(d)
-            trunc = lp.truncation_excess(model, k)
+            trunc = risk._toeplitz_excess(model, k)
             ark = lp.ark_excess(model, k)
             np.testing.assert_allclose(r_closed, (trunc - ark) / trunc,
                                        rtol=1e-6)
@@ -534,8 +539,9 @@ def test_ratio_routes_agree_on_grid():
 
 
 def test_ratio_computes_each_certified_quantity_once(monkeypatch):
-    # r_of_k takes term1 from the autocovariances that ark_excess checked
-    # its closed-form predictor against, and forms no term2
+    # r_of_k takes ark, the predictor and delta from one order-k pass, and
+    # term1 from the autocovariances that it checked the predictor against,
+    # and forms no term2
     calls = {}
 
     def spy(name):
@@ -548,15 +554,43 @@ def test_ratio_computes_each_certified_quantity_once(monkeypatch):
 
         monkeypatch.setattr(f"longpred.risk.{name}", counted)
 
-    for name in ("exact_autocov", "fi_ark_closed_form", "_fi_split",
+    for name in ("exact_autocov", "_fi_order_k", "_fi_term1",
                  "innovation_variance_quadratic_form",
                  "_toeplitz_quadratic_form", "truncation_excess"):
         spy(name)
     lp.r_of_k(0.3, 20)
-    assert calls == {"exact_autocov": 1, "fi_ark_closed_form": 1,
-                     "_fi_split": 1,
+    assert calls == {"exact_autocov": 1, "_fi_order_k": 1, "_fi_term1": 1,
                      "innovation_variance_quadratic_form": 1,
                      "_toeplitz_quadratic_form": 1, "truncation_excess": 0}
+
+
+@pytest.mark.parametrize("risk_of, zero_sums", [
+    (lambda d, k: lp.truncation_excess(lp.LongMemoryModel.fi(d), k), 2),
+    (lambda d, k: lp.ark_excess(lp.LongMemoryModel.fi(d), k), 1),
+    (lp.r_of_k, 2),
+    (excess_decomposition, 2),
+], ids=["truncation_excess", "ark_excess", "r_of_k", "excess_decomposition"])
+@pytest.mark.parametrize("k", [20, 1600])
+def test_fi_risks_make_one_order_k_pass(monkeypatch, risk_of, zero_sums, k):
+    # each FI risk sums the gamma-ratio series at (d, k) once and forms the
+    # AR coefficients once; the k = 0 series (sigma(0) and, with term1,
+    # its error bound) no more often than before the single pass
+    d, calls = 0.3, []
+    for name in ("_fi_log_ratio", "_fi_ar_values"):
+        kernel = getattr(fraccoeff, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls.append((name, args))
+            return kernel(*args)
+
+        for module in (fraccoeff, toeplitz, risk):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    risk_of(d, k)
+    assert calls.count(("_fi_log_ratio", (d, k))) == 1
+    assert calls.count(("_fi_ar_values", (d, k))) == 1
+    assert calls.count(("_fi_log_ratio", (d, 0))) <= zero_sums
+    assert len(calls) == 2 + calls.count(("_fi_log_ratio", (d, 0)))
 
 
 @pytest.mark.parametrize("d, k", [(0.1, 10), (0.35, 30), (0.45, 50),

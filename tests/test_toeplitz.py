@@ -387,6 +387,20 @@ def test_closed_form_coefficients_match_mpmath(d, k):
     np.testing.assert_allclose(phi, ark_coeffs_mpmath(d, k, j), rtol=1e-12)
 
 
+def test_closed_form_takes_no_certificate_at_tiny_d():
+    # the predictor alone is asked for: ark's 1e-9 certificate, which
+    # v(k) - 1 ~ 1e-321 would fail, stays off this path
+    assert lp.fi_ark_closed_form(1e-160, 5).v == 1.0
+    model_k = lp.fi_ark_closed_form(1e-9, 5)
+    assert model_k.v == 1.0
+    assert model_k.phi.tolist() == [
+        1.0000000002000001e-09, 4.999999997250001e-10, 3.333333330944445e-10,
+        2.4999999986250006e-10, 2.0000000004000006e-10]
+    assert model_k.partials.tolist() == [
+        1.000000001e-09, 5.000000002500001e-10, 3.3333333344444446e-10,
+        2.500000000625e-10, 2.0000000004e-10]
+
+
 def test_closed_form_domain():
     with pytest.raises(lp.DomainError):
         lp.fi_ark_closed_form(0.6, 5)
