@@ -21,8 +21,8 @@ from . import __version__
 from .errors import (AccuracyError, DomainError, EstimationError,
                      InternalConsistencyError, NotPositiveDefiniteError,
                      StatisticalPowerError)
-from .fraccoeff import (LongMemoryModel, ar_inf_coeffs, exact_autocov,
-                        model_from_json)
+from .fraccoeff import (D_MAX, D_MIN, LongMemoryModel, ar_inf_coeffs,
+                        exact_autocov, model_from_json)
 from .predictor import (ark_plugin_predict, ark_predict, wk_plugin_predict,
                         wk_truncated_predict)
 from .series import SamplePath
@@ -205,11 +205,13 @@ def _read_values(path, flag):
 def _cmd_cd_curve(args, config):
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    if not (0.0 < args.d_min <= args.d_max < 0.5):
-        raise UsageError("need 0 < d-min <= d-max < 1/2")
+    if not (D_MIN <= args.d_min <= D_MAX):
+        raise UsageError(f"--d-min must lie in [{D_MIN}, {D_MAX}]")
+    if not (args.d_min <= args.d_max <= D_MAX):
+        raise UsageError(f"--d-max must lie in [{args.d_min}, {D_MAX}]")
     grid = np.linspace(args.d_min, args.d_max, args.steps)
-    rows = [(d, c_of_d(d)) for d in grid]
-    write_artifact(args.out, ["d", "C(d)"], rows, args.seed, config)
+    write_artifact(args.out, ["d", "C(d)"], ((d, c_of_d(d)) for d in grid),
+                   args.seed, config)
     return 0
 
 

@@ -19,10 +19,10 @@ Conventions
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import zeta
 
 from .errors import AccuracyError, DomainError
 
@@ -46,16 +46,6 @@ _AUTOCOV_RTOL = 1e-8  # per lag, certified by exact_autocov for FARIMA
 # across its threads: FARIMA kernels 2H + 1 of this length gave the same
 # bits under one and two threads, and of 10 001 lags did not
 _FLOAT_KERNEL = 9001
-# the FI gamma-ratio series sums 20 terms, the last below 9^-19 of the
-# first; SciPy's Hurwitz zeta(2m, q) is charged twice its largest error
-# measured against an mpmath Euler-Maclaurin sum, at most (m + 2) eps at
-# 6000 q in [1.5, 1e6]
-_FI_SERIES_TERMS = 20
-_M = np.arange(1, _FI_SERIES_TERMS + 1)  # the term indices m
-_TWO_M = 2.0 * _M  # the zeta orders
-_ZETA_RTOL = _EPS * (_TWO_M + 4.0)
-# the roundings of each term's own arithmetic and of q
-_TERM_RTOL = _EPS * (1.5 * _M + 5.0)
 
 
 def _roundoff(n, eps=_EPS):
@@ -214,8 +204,7 @@ def _arma_filter(b, a, x):
     the last delay without the z_{k+1} term.  For the impulse response of
     a first-order part that recursion is the running product
     [b_0, c, c phi, c phi^2, ...], c = b_1 - b_0 a_1 and phi = -a_1.
-    Doing it here keeps SciPy's signal package, which pulls in its stats,
-    interpolate and optimize packages, out of the process.
+    SciPy is a test dependency only.
     """
     if a.size == 1:
         return np.convolve(b, x)[: x.size]
@@ -284,29 +273,94 @@ def _fi_acf(d, m):
     return r
 
 
+# the FI gamma-ratio series sums the terms of t <= _T0 directly and the
+# rest from q = t - d >= _Q_MIN order by order
+_T0 = 10
+_Q_MIN = _T0 + 0.5
+
+
+def _fi_series_table():
+    """The orders m = 1..M of ``_fi_log_ratio``'s tail as rows (a_m, 1/(2m),
+    (c_{m,J_m}, ..., c_{m,1})), a_m = 1/(m(2m-1)) but a_1 = 0, as the 1 of
+    A_1 is the part d^2/q, and the relative error bounds of a part and of
+    the sum; M and each J_m are the fewest that keep each weighted
+    remainder within eps/64."""
+    q, tol = _Q_MIN, _EPS / 64.0
+    bern = [Fraction(1)]  # B_n, from sum_{j<=n} C(n+1, j) B_j = 0
+    for n in range(1, 41):
+        bern.append(-sum(math.comb(n + 1, j) * bern[j]
+                         for j in range(n)) / (n + 1))
+
+    def rem(m, J):  # Johansson's bound on A_m's remainder after J terms
+        return (4.0 * math.prod(range(2 * m, 2 * m + 2 * J))
+                / ((2 * math.pi * q) ** (2 * J) * (2 * m + 2 * J - 1) * m))
+
+    x, rows, tail = 0.25 / (q * q), [], _worst_roundoff(2)
+    for m in range(1, 64):
+        w = x ** (m - 1)
+        if w / (1.0 - x) <= tol:  # the orders from m on, as A_n <= 1
+            break
+        J = next(n for n in range(1, 64) if w * rem(m, n) <= tol)
+        c = [float(bern[2 * j] * math.prod(range(2 * m, 2 * m + 2 * j - 1))
+                   / (math.factorial(2 * j) * m)) for j in range(J, 0, -1)]
+        a, b = (1.0 / (m * (2 * m - 1)) if m > 1 else 0.0), 1.0 / (2 * m)
+        rows.append((a, b, tuple(c)))
+        mag = sum(abs(cj) / q ** (2 * j) for j, cj in zip(range(J, 0, -1), c))
+        tail += w * (_worst_roundoff(6 * m + 2) * (a + b / q)
+                     + _worst_roundoff(6 * m + 4 * J) * mag + rem(m, J))
+    # (1 + r)(1 + s) - 1 as r + s (1 + r), which does not round 1 + r
+    slope, tail = _worst_roundoff(2) / (1.0 - 2.0 * x), tail + w / (1.0 - x)
+    part = max(_worst_roundoff(4) + _EPS * (1.0 + _worst_roundoff(4)),
+               slope + tail * (1.0 + slope))
+    rel = part + 0.5 * _EPS * (1.0 + part)
+    return tuple(rows), part, rel / (1.0 - rel)
+
+
+_FI_SERIES, _FI_PART_RTOL, _FI_LOG_RTOL = _fi_series_table()
+
+
 def _fi_log_ratio(d, k):
     """log(v(k)/sigma2) = log(Gamma(k+1) Gamma(k+1-2d) / Gamma(k+1-d)^2) of
-    FI(d), k >= 0, and a bound on its absolute error.
+    FI(d), k >= 0, and a bound on its error, at most _FI_LOG_RTOL L + tiny.
 
-    Hosking's partials d/(t - d) (Biometrika 68, 1981) telescope:
-    v(k)/sigma2 = prod_{t>k} (1 - d^2/(t - d)^2)^-1, whose log is the
-    all-positive series sum_{m>=1} (d^2m/m) zeta(2m, k+1-d) (Hurwitz zeta),
-    falling at least 9-fold per term for k >= 1.  At k = 0 the t = 1 factor
-    is taken exactly as 1 + d^2/(1-2d).  The bound adds the remainder (at
-    most 1/8 of the last term), each term's roundings, including that of q
-    through zeta's slope 2m, and SciPy's zeta error for its order, the
-    rounded sum, and one tiny for terms that underflow.
+    Hosking's partials d/(t - d) (Biometrika 68, 1981) telescope: L sums
+    g_t = -log(1 - d^2/(t - d)^2) = log1p(d^2/(t (t - 2d))) over t > k, by
+    libm's log1p up to t = _T0, then from q = t - d >= 10.5 as d^2/q sum_m
+    x^(m-1) A_m, x = d^2/q^2, A_m = q^(2m-1) zeta(2m, q)/m = 1/(m(2m-1)) +
+    1/(2mq) + sum_{j<=J_m} B_2j (2m)_{2j-1}/((2j)! m q^2j) by
+    Euler-Maclaurin, with a remainder below 4 (2m)_{2J}/((2 pi q)^2J
+    (2m+2J-1) m) (Johansson, Numer. Algorithms 69, 2015, Thm 1); A_m <= 1
+    bounds the orders beyond M.  Every part is positive, so the bound is
+    relative.  If libm's log1p is within one ulp, a direct g_t is off by
+    gamma_4 of ``_worst_roundoff`` (log1p's relative slope is below 1) and
+    one ulp; g_1 (k = 0) by gamma_4 x_1/(1 + x_1), x_1 = d^2/(1 - 2d), and
+    one ulp, far less near d = 1/2.  The rounding of q moves the tail by
+    gamma_2/(1 - 2x); at that q, d^2/q carries gamma_2, and order m,
+    weighted x^(m-1), gamma_{6m+2} of a_m + 1/(2mq) and gamma_{6m+4J_m} of
+    its other terms: x carries 4 roundings, 1/q^2 two, a Horner level in x
+    6 and in 1/q^2 4, the scaling 3, and a stored coefficient, b/q and the
+    sums the rest.  Each charge is largest at q = 10.5 and d = 1/2; fsum
+    rounds once.  Where d^2 underflows, fewer than 100 roundings add u tiny
+    each (Higham 2002, Sec. 2.1).
     """
-    q = k + 1.0 - d if k else 2.0 - d
-    terms = (d * d) ** _M / _M * zeta(_TWO_M, q)
-    log_r = math.fsum(terms.tolist())
-    err = (float(np.dot(terms, _ZETA_RTOL + _TERM_RTOL))
-           + terms[-1] / 8.0 + _TINY + 0.5 * _EPS * log_r)
-    if not k:
-        x = d * d / (1.0 - 2.0 * d)
-        head = math.log1p(x)
-        log_r += head
-        err += _EPS * (1.5 * x / (1.0 + x) + head + 0.5 * log_r)
+    d2 = d * d
+    parts = [math.log1p(d2 / (t * (t - 2.0 * d)))
+             for t in range(k + 1, _T0 + 1)]
+    q = max(k + 1, _T0 + 1) - d
+    y = 1.0 / (q * q)
+    x, s = d2 * y, 0.0
+    for a, b, row in reversed(_FI_SERIES):
+        c = 0.0
+        for cj in row:
+            c = (c + cj) * y
+        s = s * x + (a + b / q + c)
+    parts += (d2 / q, d2 / q * s)
+    log_r = math.fsum(parts)
+    err = _FI_LOG_RTOL * log_r + _TINY
+    if not k:  # g_1's own charge in place of _FI_PART_RTOL g_1
+        x1 = d2 / (1.0 - 2.0 * d)
+        err -= ((_FI_PART_RTOL - _EPS * (1.0 + 2.0 * _EPS)) * parts[0]
+                - _worst_roundoff(4) * x1 / (1.0 + x1))
     return log_r, err
 
 

@@ -24,10 +24,11 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, InternalConsistencyError,
                      StatisticalPowerError)
-from .fraccoeff import (_EPS, _WIDE, _WIDE_EPS, LongMemoryModel,
-                        _arma_filter, _arma_polys, _farima_autocov,
-                        _fi_ar_values, _fi_log_ratio, _roundoff,
-                        _worst_roundoff, ar_inf_coeffs, exact_autocov)
+from .fraccoeff import (_EPS, _FI_LOG_RTOL, _TINY, _WIDE, _WIDE_EPS, D_MAX,
+                        D_MIN, LongMemoryModel, _arma_filter, _arma_polys,
+                        _farima_autocov, _fi_ar_values, _fi_log_ratio,
+                        _roundoff, _worst_roundoff, ar_inf_coeffs,
+                        exact_autocov)
 from .series import SamplePath
 from .simulate import gaussian_paths, path_blocks
 from .spectral import whittle_fit
@@ -184,7 +185,8 @@ def _fi_term1(acov, ark, ark_err, delta):
     sigma(h) > 0, so term1 is a sum of positive terms.  The worst-case
     bound (Higham 2002, Lemma 3.1) charges delta_j 10j + 4 roundings (3j
     each for a_j and p_j, 4j + 2 for the sum, two products), sigma(h)
-    4h + 4 and the error of the k = 0 series, the lag sums 2k, plus ark_err
+    4h + 4 and the error of the k = 0 series, _FI_LOG_RTOL of its sum L0,
+    which is below 1 + log(sigma(0)/sigma2), the lag sums 2k, plus ark_err
     and the FFT's bound; if that breaks 1e-9 relative to ark + term1 the
     direct sum runs, and a larger total raises AccuracyError.
     """
@@ -192,7 +194,8 @@ def _fi_term1(acov, ark, ark_err, delta):
     sig = acov.values[:k]
     # those of delta_k and sigma(k-1) bound every term's roundings
     g = _worst_roundoff(2 * (10 * k + 4) + 4 * k + 2 * k)
-    rel = g + (1.0 + g) * math.expm1(_fi_log_ratio(acov.model.d, 0)[1])
+    l0 = 1.0 + math.log(sig[0] / acov.model.sigma2_eps)
+    rel = g + (1.0 + g) * math.expm1(_FI_LOG_RTOL * l0 + _TINY)
     for atol in (math.inf, 0.0):  # the FFT, then the direct sum
         term1, fft_err = _toeplitz_quadratic_form(sig, delta, atol)
         total = ark + term1
@@ -268,10 +271,11 @@ def c_of_d(d):
     By Gamma(1-x) Gamma(1+x) = pi x / sin(pi x) it is d tan(pi d)/pi, taken
     above d = 1/4 as d / (pi tan(pi (1/2 - d))) with 1/2 - d exact, so tan's
     argument stays within pi/4.  If libm's tan is within 1 ulp, either form
-    is within 4 eps relative.
+    is within 4 eps relative.  d outside [D_MIN, D_MAX], the domain of
+    every model, raises DomainError: far below it d tan(pi d) is subnormal.
     """
-    if not (0.0 < d < 0.5):
-        raise DomainError(f"d={d} outside ]0, 1/2[")
+    if not (D_MIN <= d <= D_MAX):
+        raise DomainError(f"d={d} outside [{D_MIN}, {D_MAX}]")
     if d <= 0.25:
         return d * math.tan(math.pi * d) / math.pi
     return d / (math.pi * math.tan(math.pi * (0.5 - d)))

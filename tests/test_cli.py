@@ -5,6 +5,7 @@ import pathlib
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,36 @@ def test_integer_grid_of_non_integers_exits_2_naming_the_flag(
     err = capsys.readouterr().err
     assert f"error: {flag}: values must be whole numbers" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d_min, d_max, flag", [
+    (1e-160, 1e-160, "--d-min"),
+    (1e-300, 1e-300, "--d-min"),
+    (5e-5, 0.1, "--d-min"),
+    (0.01, 0.49995, "--d-max"),
+    (0.3, 0.2, "--d-max"),
+])
+def test_cd_curve_d_outside_the_model_domain_exits_2_naming_the_flag(
+        tmp_path, capsys, d_min, d_max, flag):
+    # at d = 1e-160 C(d) was written 1.1e-5 off d^2, and at 1e-300 as 0
+    out = tmp_path / "never.csv"
+    assert run(["cd-curve", "--d-min", d_min, "--d-max", d_max, "--steps", 1,
+                "--out", out]) == 2
+    assert f"error: {flag} must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cd_curve_streams_its_rows(tmp_path):
+    # only the d grid is held, 8 B a step: the list of rows took about
+    # 137 B a step
+    tracemalloc.start()
+    try:
+        assert run(["cd-curve", "--steps", 200_000,
+                    "--out", tmp_path / "cd.csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -812,11 +843,32 @@ def test_output_directory_must_exist(tmp_path):
 
 
 IMPORT_GUARD = """
-import json, sys
+import json, os, sys
 import longpred as lp
-import longpred.cli
-assert lp.cli.main(["trunc-rate", "--d", "0.2,0.4", "--k-grid", "10,20",
-                    "--out", sys.argv[1]]) == 0
+from longpred.cli import main
+tmp = sys.argv[1]
+sample = os.path.join(tmp, "paths", "rep_0000.csv")
+fi = lp.model_to_json(lp.LongMemoryModel.fi(0.3))
+for args in (
+        ["cd-curve", "--steps", "3", "--out", "cd.csv"],
+        ["ratio-curve", "--d", "0.3", "--k", "10", "--out", "ratio.csv"],
+        ["trunc-rate", "--d", "0.2,0.4", "--k-grid", "10,20", "--out", "t.csv"],
+        ["ark-rate", "--d", "0.3", "--k-grid", "10,20", "--out", "ark.csv"],
+        ["coeffcov-mc", "--k", "2", "--t-grid", "256,512", "--reps", "50",
+         "--out", "cc.csv"],
+        ["estimation-error", "--k", "2", "--t-grid", "256,512", "--reps", "50",
+         "--out", "ee.csv"],
+        ["covmoment-mc", "--n-grid", "64,128", "--reps", "50", "--out", "cm.csv"],
+        ["whittle-mc", "--t", "128", "--reps", "50", "--out", "w.csv"],
+        ["total-error", "--k-grid", "2", "--t-grid", "128", "--reps", "50",
+         "--out", "te.csv"],
+        ["simulate", "--model", fi, "--n", "128", "--out", "paths"],
+        ["fit", "--sample", sample],
+        ["predict", "--method", "ark", "--window", sample, "--model", fi,
+         "--k", "2"]):
+    if "--out" in args:
+        args[-1] = os.path.join(tmp, args[-1])
+    assert main(args) == 0, args
 lp.covmoment_scaling(0.2, [64, 128], 50, seed=1)
 model = lp.LongMemoryModel.farima(0.3, ar=(0.5,), ma=(0.3,))
 assert lp.exact_autocov(model, 20).values[0] > 0
@@ -826,17 +878,17 @@ fi = lp.LongMemoryModel.fi(0.1)
 assert lp.h_covariance_check(0.1, 2, 256, 50, seed=1)["c_fit"] > 0
 from longpred.risk import h_sandwich
 h_sandwich(fi, lp.durbin_levinson(lp.exact_autocov(fi, 3), 3))
-print(json.dumps([m in sys.modules for m in ("scipy.signal", "scipy.linalg")]))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_fi_and_farima_work_leave_scipy_signal_and_linalg_unloaded(tmp_path):
-    # the ARMA filter of FARIMA models runs in-house, and the Toeplitz
-    # inverse and generalised eigenvalues of h_sandwich and
-    # h_covariance_check come from numpy alone; scipy.signal would pull in
-    # scipy.stats, scipy.interpolate and scipy.optimize
-    out = run_fresh(IMPORT_GUARD, tmp_path / "trunc.csv")
-    assert json.loads(out) == [False, False]
+def test_longpred_work_leaves_scipy_unloaded(tmp_path):
+    # numpy is the only runtime dependency: the FI gamma-ratio series sums
+    # its own Hurwitz zeta, the ARMA filter of FARIMA models runs in-house,
+    # and the Toeplitz inverse and generalised eigenvalues of h_sandwich
+    # and h_covariance_check come from numpy; one small run of every
+    # subcommand, FI and FARIMA work load no scipy module
+    assert json.loads(run_fresh(IMPORT_GUARD, tmp_path)) == []
 
 
 def test_farima_simulate_in_fresh_interpreter_matches_in_process(tmp_path):

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 from scipy.special import gamma as Gamma
-from scipy.special import zeta
 
 import longpred as lp
 from longpred.errors import AccuracyError, DomainError
-from longpred.fraccoeff import (_EPS, _FI_SERIES_TERMS, _ZETA_RTOL,
-                                _arma_filter, _arma_polys, _clamp_subnormal,
-                                _farima_autocov, _fi_acf, _fi_ar_values,
-                                _worst_roundoff, model_from_json,
-                                model_to_json)
+from longpred.fraccoeff import (_EPS, _FI_LOG_RTOL, _FI_SERIES, _Q_MIN,
+                                _TINY, _arma_filter, _arma_polys,
+                                _clamp_subnormal, _farima_autocov, _fi_acf,
+                                _fi_ar_values, _fi_log_ratio, _worst_roundoff,
+                                model_from_json, model_to_json)
 
 from farima_filter_oracle import (MODELS, WIDE, ar_inf_inline,
                                   farima_autocov_inline, ma_inf_inline)
@@ -406,17 +405,64 @@ def hurwitz_zeta_mpmath(s, q):
         return value
 
 
-def test_scipy_hurwitz_zeta_within_the_charged_error():
-    # the FI gamma-ratio series charges zeta(2m, q), q = k + 1 - d >= 1.5,
-    # the _ZETA_RTOL of its order; SciPy's error peaks just below powers
-    # of two, at about m units
-    q = np.r_[np.geomspace(1.5, 1e6, 40), 2.0 ** np.arange(1, 20) - 0.4]
-    s = 2 * np.arange(1, _FI_SERIES_TERMS + 1)
-    got = zeta(s.astype(float)[:, None], q)
-    rel = np.array([[abs(float(g / hurwitz_zeta_mpmath(int(si), qj) - 1))
-                     for g, qj in zip(row, q)] for row, si in zip(got, s)])
-    charged = _ZETA_RTOL[:, None]
-    assert np.all(rel <= charged), np.max(rel / charged)
+def johansson_remainder(m, J, q):
+    """Johansson's bound (Numer. Algorithms 69, 2015, Thm 1) on the
+    Euler-Maclaurin remainder of A_m = q^(2m-1) zeta(2m, q)/m after J
+    Bernoulli terms."""
+    rise = math.prod(range(2 * m, 2 * m + 2 * J))  # (2m)_{2J}
+    return (4.0 * rise / ((2 * math.pi) ** (2 * J) * (2 * m + 2 * J - 1) * m
+                          * q ** (2 * J)))
+
+
+def test_in_house_hurwitz_zeta_within_its_charge():
+    # the FI gamma-ratio series takes q = k + 1 - d over at the first
+    # q + n >= 10.5; there A_m = q^(2m-1) zeta(2m, q)/m from each order's
+    # float coefficients, summed exactly, is within their roundings and
+    # Johansson's remainder of the 40-digit zeta; and each order has the
+    # fewest Bernoulli terms whose weighted remainder is within eps/64
+    x = 0.25 / _Q_MIN ** 2
+    for m, (a, b, row) in enumerate(_FI_SERIES, 1):
+        J = len(row)
+        assert x ** (m - 1) * johansson_remainder(m, J, _Q_MIN) <= _EPS / 64
+        if J > 1:
+            assert (x ** (m - 1) * johansson_remainder(m, J - 1, _Q_MIN)
+                    > _EPS / 64)
+    assert x ** len(_FI_SERIES) / (1 - x) <= _EPS / 64
+    qs = np.r_[np.geomspace(1.5, 1e6, 40), 2.0 ** np.arange(1, 20) - 0.4]
+    for q in qs + np.maximum(0.0, np.ceil(_Q_MIN - qs)):
+        for m, (a, b, row) in enumerate(_FI_SERIES, 1):
+            with mpmath.workdps(40):
+                y = 1 / mpmath.mpf(q) ** 2
+                # the table's a_1 is 0: the 1 of A_1 is summed on its own
+                terms = [mpmath.mpf(a) + (m == 1), mpmath.mpf(b) / q] + [
+                    mpmath.mpf(c) * y ** j
+                    for j, c in enumerate(reversed(row), 1)]
+                exact = (mpmath.mpf(q) ** (2 * m - 1)
+                         * hurwitz_zeta_mpmath(2 * m, q) / m)
+                err = abs(mpmath.fsum(terms) - exact)
+                rounding = 0.5 * _EPS * mpmath.fsum(map(abs, terms))
+            assert err <= rounding + johansson_remainder(m, len(row), q)
+
+
+def log_ratio_mpmath(d, k):
+    """log(Gamma(k+1) Gamma(k+1-2d) / Gamma(k+1-d)^2) at 50 digits."""
+    with mpmath.workdps(50):
+        d = mpmath.mpf(d)
+        return (mpmath.loggamma(k + 1) + mpmath.loggamma(k + 1 - 2 * d)
+                - 2 * mpmath.loggamma(k + 1 - d))
+
+
+@pytest.mark.parametrize("d", [1e-4, 0.01, 0.1, 0.25, 0.3, 0.45, 0.4999])
+def test_fi_log_ratio_matches_50_digit_loggamma(d):
+    # k = 0..12 crosses the switch from direct terms to the Euler-Maclaurin
+    # tail at t = 11; the bound covers the error, is at most 1e-14 of the
+    # value and the value is within 4 eps
+    for k in [*range(13), 50, 200, 1600, 102_400, 10 ** 6]:
+        exact = log_ratio_mpmath(d, k)
+        log_r, err = _fi_log_ratio(d, k)
+        assert err <= _FI_LOG_RTOL * log_r + _TINY <= 1e-14 * log_r + _TINY
+        assert abs(log_r - exact) <= err
+        assert abs(log_r / exact - 1) <= 4 * _EPS, k
 
 
 def test_ar_root_near_unit_circle_raises_at_once():

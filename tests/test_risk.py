@@ -16,7 +16,7 @@ from longpred import fraccoeff, risk, toeplitz
 from longpred.cli import read_artifact
 from longpred.errors import (AccuracyError, DomainError,
                              InternalConsistencyError, StatisticalPowerError)
-from longpred.fraccoeff import _fi_delta, _fi_log_ratio
+from longpred.fraccoeff import _TINY, _fi_delta, _fi_log_ratio
 from longpred.risk import excess_decomposition, h_sandwich
 from longpred.tails import powerlaw_tail_sum
 
@@ -385,15 +385,15 @@ def test_fi_gamma_ratio_series_matches_mpmath(d, k):
 
 
 def test_ark_excess_refuses_before_the_cross_check(monkeypatch):
-    # charging every order of SciPy's zeta 1e-8 puts the bound above 1e-9;
-    # the refusal comes before the O(k^2) cross-check
+    # charging the gamma-ratio series 1e-8 of its value puts the bound above
+    # 1e-9; the refusal comes before the O(k^2) cross-check
     def no_quadratic_form(acov, model_k, atol):
         raise AssertionError("O(k^2) cross-check ran")
 
     monkeypatch.setattr("longpred.risk.innovation_variance_quadratic_form",
                         no_quadratic_form)
-    monkeypatch.setattr("longpred.fraccoeff._ZETA_RTOL",
-                        fraccoeff._ZETA_RTOL + 1e-8)
+    monkeypatch.setattr("longpred.fraccoeff._FI_LOG_RTOL",
+                        fraccoeff._FI_LOG_RTOL + 1e-8)
     with pytest.raises(AccuracyError) as exc:
         lp.ark_excess(lp.LongMemoryModel.fi(0.3), 100)
     assert 1e-9 < exc.value.achieved < 2e-8
@@ -450,8 +450,8 @@ def test_c_of_d_elementary_form_matches_mpmath():
 
 
 def test_c_of_d_and_fi_sigma0_match_mpmath():
-    # sigma(0) comes from the k = 0 gamma-ratio series, whose error bound
-    # holds at -d as well; C(d) from its elementary form
+    # sigma(0) is the exp of the k = 0 gamma-ratio series, whose value is
+    # within the bound that term1 charges it; C(d) from its elementary form
     for d in np.r_[np.linspace(1e-4, 0.4999, 50), 0.25]:
         d = float(d)
         with mpmath.workdps(50):
@@ -459,12 +459,14 @@ def test_c_of_d_and_fi_sigma0_match_mpmath():
             sigma0 = mpmath.gamma(1 - 2 * x) / mpmath.gamma(1 - x) ** 2
             plus = mpmath.gamma(1 + 2 * x) / mpmath.gamma(1 + x) ** 2
             c = x * x * sigma0 * plus
-            log_plus = mpmath.log(plus)
+            log_sigma0 = mpmath.log(sigma0)
         got = lp.exact_autocov(lp.LongMemoryModel.fi(d), 0).values[0]
         np.testing.assert_allclose(got, float(sigma0), rtol=1.5e-15)
         np.testing.assert_allclose(lp.c_of_d(d), float(c), rtol=1.5e-15)
-        log_r, err = _fi_log_ratio(-d, 0)
-        assert abs(log_r - float(log_plus)) <= err
+        log_r, err = _fi_log_ratio(d, 0)
+        assert got == math.exp(log_r)
+        assert abs(log_r - log_sigma0) <= err
+        assert err <= fraccoeff._FI_LOG_RTOL * (1 + math.log(got)) + _TINY
 
 
 def test_c_of_d_near_half_equivalent():
@@ -485,9 +487,12 @@ def test_c_of_d_monotone_on_grid():
 
 
 def test_c_of_d_domain():
-    for bad in (0.0, 0.5, -0.1, 0.7):
+    # the model domain [1e-4, 0.4999]: at 1e-160 d tan(pi d)/pi is subnormal
+    for bad in (0.0, 0.5, -0.1, 0.7, 1e-160, 1e-300, math.nextafter(1e-4, 0),
+                math.nextafter(0.4999, 1), math.nan):
         with pytest.raises(DomainError):
             lp.c_of_d(bad)
+    assert lp.c_of_d(1e-4) > 0 and lp.c_of_d(0.4999) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -564,17 +569,17 @@ def test_ratio_computes_each_certified_quantity_once(monkeypatch):
                      "_toeplitz_quadratic_form": 1, "truncation_excess": 0}
 
 
-@pytest.mark.parametrize("risk_of, zero_sums", [
-    (lambda d, k: lp.truncation_excess(lp.LongMemoryModel.fi(d), k), 2),
-    (lambda d, k: lp.ark_excess(lp.LongMemoryModel.fi(d), k), 1),
-    (lp.r_of_k, 2),
-    (excess_decomposition, 2),
+@pytest.mark.parametrize("risk_of", [
+    lambda d, k: lp.truncation_excess(lp.LongMemoryModel.fi(d), k),
+    lambda d, k: lp.ark_excess(lp.LongMemoryModel.fi(d), k),
+    lp.r_of_k,
+    excess_decomposition,
 ], ids=["truncation_excess", "ark_excess", "r_of_k", "excess_decomposition"])
 @pytest.mark.parametrize("k", [20, 1600])
-def test_fi_risks_make_one_order_k_pass(monkeypatch, risk_of, zero_sums, k):
+def test_fi_risks_make_one_order_k_pass(monkeypatch, risk_of, k):
     # each FI risk sums the gamma-ratio series at (d, k) once and forms the
-    # AR coefficients once; the k = 0 series (sigma(0) and, with term1,
-    # its error bound) no more often than before the single pass
+    # AR coefficients once; the k = 0 series once, for sigma(0), since
+    # term1 charges its error from sigma(0) and the series' relative bound
     d, calls = 0.3, []
     for name in ("_fi_log_ratio", "_fi_ar_values"):
         kernel = getattr(fraccoeff, name)
@@ -589,8 +594,8 @@ def test_fi_risks_make_one_order_k_pass(monkeypatch, risk_of, zero_sums, k):
     risk_of(d, k)
     assert calls.count(("_fi_log_ratio", (d, k))) == 1
     assert calls.count(("_fi_ar_values", (d, k))) == 1
-    assert calls.count(("_fi_log_ratio", (d, 0))) <= zero_sums
-    assert len(calls) == 2 + calls.count(("_fi_log_ratio", (d, 0)))
+    assert calls.count(("_fi_log_ratio", (d, 0))) == 1
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("d, k", [(0.1, 10), (0.35, 30), (0.45, 50),
